@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_set>
+#include <utility>
 
 #include "core/simulator.hpp"
 
@@ -29,22 +30,14 @@ runFeedbackDirected(const Trace &trace, const SimConfig &config,
 {
     FeedbackResult result;
 
-    // Round 0: the standard AsmDB pipeline.
-    AsmdbArtifacts artifacts = runPipeline(trace, config, params);
-    result.decision = artifacts.decision;
-    result.plan = artifacts.plan;
+    // Round 0: the standard AsmDB pipeline. Its per-line profile misses
+    // are also the reference each round's evaluation is judged against.
+    const BaselineProfile profile = profileBaseline(trace, config);
+    const auto &profile_misses = profile.line_misses;
+    AsmdbArtifacts artifacts = runPipeline(trace, config, profile, params);
+    result.decision = std::move(artifacts.decision);
+    result.plan = std::move(artifacts.plan);
     result.insertions_per_round.push_back(result.plan.insertions.size());
-
-    // Profile miss counts per line (re-derive from the pipeline's
-    // profile run by re-running the hook; cheaper: reconstruct from the
-    // plan's targets is lossy, so profile again).
-    std::unordered_map<Addr, std::uint64_t> profile_misses;
-    {
-        Simulator sim(config, trace);
-        sim.setL1iMissHook(
-            [&profile_misses](Addr line) { ++profile_misses[line]; });
-        sim.run();
-    }
 
     for (std::size_t round = 0; round < feedback.rounds; ++round) {
         // Evaluate the current plan in no-overhead form so line

@@ -5,20 +5,33 @@
 namespace sipre::asmdb
 {
 
+BaselineProfile
+profileBaseline(const Trace &trace, const SimConfig &config)
+{
+    // (1) Profile: run the baseline and collect per-line L1-I misses.
+    BaselineProfile profile;
+    Simulator sim(config, trace);
+    sim.setL1iMissHook(
+        [&profile](Addr line) { ++profile.line_misses[line]; });
+    profile.run = sim.run();
+    return profile;
+}
+
 AsmdbArtifacts
 runPipeline(const Trace &trace, const SimConfig &config,
             const AsmdbParams &params)
 {
-    AsmdbArtifacts artifacts;
+    return runPipeline(trace, config, profileBaseline(trace, config),
+                       params);
+}
 
-    // (1) Profile: run the baseline and collect per-line L1-I misses.
-    std::unordered_map<Addr, std::uint64_t> line_misses;
-    {
-        Simulator sim(config, trace);
-        sim.setL1iMissHook(
-            [&line_misses](Addr line) { ++line_misses[line]; });
-        artifacts.profile_run = sim.run();
-    }
+AsmdbArtifacts
+runPipeline(const Trace &trace, const SimConfig &config,
+            const BaselineProfile &profile, const AsmdbParams &params)
+{
+    AsmdbArtifacts artifacts;
+    artifacts.profile_run = profile.run;
+    const auto &line_misses = profile.line_misses;
 
     // (2) Reconstruct the CFG with profile weights.
     const Cfg cfg = Cfg::build(trace, line_misses);

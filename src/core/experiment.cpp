@@ -430,6 +430,32 @@ saveCampaign(const CampaignOptions &options, const CampaignResult &result)
 namespace
 {
 
+/**
+ * One baseline's three records: the base run, AsmDB on the rewritten
+ * trace, and AsmDB without insertion overhead. The pipeline profiles on
+ * the machine it targets, and its miss hook only observes, so the
+ * profiling run is the base record: three simulations, not four.
+ */
+asmdb::AsmdbArtifacts
+runBaseline(const Trace &trace, const SimConfig &config, SimResult &base,
+            SimResult &asmdb, SimResult &ideal)
+{
+    const asmdb::BaselineProfile profile =
+        asmdb::profileBaseline(trace, config);
+    base = profile.run;
+    asmdb::AsmdbArtifacts art = asmdb::runPipeline(trace, config, profile);
+    {
+        Simulator sim(config, art.rewrite.trace);
+        asmdb = sim.run();
+    }
+    {
+        Simulator sim(config, trace);
+        sim.setSwPrefetchTriggers(&art.triggers);
+        ideal = sim.run();
+    }
+    return art;
+}
+
 WorkloadRecord
 runOneWorkload(const synth::WorkloadSpec &spec, std::size_t instructions,
                bool fast_forward)
@@ -444,44 +470,18 @@ runOneWorkload(const synth::WorkloadSpec &spec, std::size_t instructions,
     industry.fast_forward = fast_forward;
 
     {
-        Simulator sim(cons, trace);
-        rec.cons = sim.run();
-    }
-    {
-        Simulator sim(industry, trace);
-        rec.industry = sim.run();
-    }
-
-    // AsmDB pipeline per baseline (profiled on the machine it targets).
-    {
-        auto art = asmdb::runPipeline(trace, cons);
+        const auto art = runBaseline(trace, cons, rec.cons, rec.asmdb_cons,
+                                     rec.asmdb_cons_ideal);
         rec.static_bloat_cons = art.rewrite.staticBloat();
         rec.dynamic_bloat_cons = art.rewrite.dynamicBloat();
-        {
-            Simulator sim(cons, art.rewrite.trace);
-            rec.asmdb_cons = sim.run();
-        }
-        {
-            Simulator sim(cons, trace);
-            sim.setSwPrefetchTriggers(&art.triggers);
-            rec.asmdb_cons_ideal = sim.run();
-        }
     }
     {
-        auto art = asmdb::runPipeline(trace, industry);
+        const auto art = runBaseline(trace, industry, rec.industry,
+                                     rec.asmdb_ind, rec.asmdb_ind_ideal);
         rec.static_bloat_ind = art.rewrite.staticBloat();
         rec.dynamic_bloat_ind = art.rewrite.dynamicBloat();
         rec.insertions_ind = art.plan.insertions.size();
         rec.plan_min_distance_ind = art.plan.min_distance;
-        {
-            Simulator sim(industry, art.rewrite.trace);
-            rec.asmdb_ind = sim.run();
-        }
-        {
-            Simulator sim(industry, trace);
-            sim.setSwPrefetchTriggers(&art.triggers);
-            rec.asmdb_ind_ideal = sim.run();
-        }
     }
     return rec;
 }

@@ -39,15 +39,23 @@ printReport(const SimResult &r, std::ostream &os)
        << " sw prefetches), cycles " << r.cycles << ", IPC " << r.ipc()
        << "\n\n";
 
+    // A co-run's scenario counters are summed over its cores, so their
+    // shares are of the summed per-core cycles, not the shared wall.
+    std::uint64_t core_cycles = r.cycles;
+    if (!r.core_results.empty()) {
+        core_cycles = 0;
+        for (const SimResult &core : r.core_results)
+            core_cycles += core.cycles;
+    }
     os << "front-end state taxonomy (Sec. III):\n";
     os << "  scenario 1 (shoot-through):  "
-       << pct(f.scenario1_cycles, r.cycles) << "%\n";
+       << pct(f.scenario1_cycles, core_cycles) << "%\n";
     os << "  scenario 2 (stalling head):  "
-       << pct(f.scenario2_cycles, r.cycles) << "%\n";
+       << pct(f.scenario2_cycles, core_cycles) << "%\n";
     os << "  scenario 3 (shadow stalls):  "
-       << pct(f.scenario3_cycles, r.cycles) << "%\n";
+       << pct(f.scenario3_cycles, core_cycles) << "%\n";
     os << "  FTQ empty:                   "
-       << pct(f.ftq_empty_cycles, r.cycles) << "%\n\n";
+       << pct(f.ftq_empty_cycles, core_cycles) << "%\n\n";
 
     os << "front-end events (per kilo-instruction):\n";
     os << "  head stall cycles        "

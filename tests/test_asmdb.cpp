@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "asmdb/pipeline.hpp"
+#include "core/result_compare.hpp"
 #include "core/simulator.hpp"
 #include "trace/synth/workload.hpp"
 #include "trace/trace_stats.hpp"
@@ -389,6 +390,45 @@ TEST(Pipeline, EndToEndReducesMisses)
         << "no-overhead AsmDB must reduce L1-I demand misses";
     EXPECT_GE(ideal.ipc(), base.ipc())
         << "no-overhead AsmDB must not hurt";
+}
+
+// The reuse contract: the miss hook only observes, so the profiling
+// run is the plain baseline run, and a pipeline fed a profile gathered
+// up front plans exactly what the self-profiling pipeline plans.
+TEST(Pipeline, ProfileRunIsTheBaselineRun)
+{
+    const auto spec = synth::makeWorkloadSpec(
+        "secret_srv12", synth::Archetype::kServer, 0x517e2023ULL);
+    const Trace trace = synth::generateTrace(spec, 60'000);
+    for (const SimConfig &config :
+         {SimConfig::conservative(), SimConfig::industry()}) {
+        const BaselineProfile profile = profileBaseline(trace, config);
+        EXPECT_FALSE(profile.line_misses.empty());
+        Simulator sim(config, trace);
+        EXPECT_EQ(diffSimResults(profile.run, sim.run()), "")
+            << config.label;
+
+        const AsmdbArtifacts reused = runPipeline(trace, config, profile);
+        const AsmdbArtifacts fresh = runPipeline(trace, config);
+        EXPECT_EQ(diffSimResults(reused.profile_run, fresh.profile_run), "");
+        ASSERT_EQ(reused.plan.insertions.size(),
+                  fresh.plan.insertions.size())
+            << config.label;
+        for (std::size_t i = 0; i < fresh.plan.insertions.size(); ++i) {
+            const Insertion &a = reused.plan.insertions[i];
+            const Insertion &b = fresh.plan.insertions[i];
+            EXPECT_EQ(a.site_pc, b.site_pc);
+            EXPECT_EQ(a.target_line, b.target_line);
+            EXPECT_EQ(a.path_prob, b.path_prob);
+            EXPECT_EQ(a.expected_covered, b.expected_covered);
+        }
+        EXPECT_EQ(reused.plan.total_misses, fresh.plan.total_misses);
+        EXPECT_EQ(reused.plan.min_distance, fresh.plan.min_distance);
+        EXPECT_EQ(reused.rewrite.trace.size(), fresh.rewrite.trace.size());
+        EXPECT_EQ(reused.rewrite.staticBloat(), fresh.rewrite.staticBloat());
+        EXPECT_EQ(reused.rewrite.dynamicBloat(),
+                  fresh.rewrite.dynamicBloat());
+    }
 }
 
 TEST(Pipeline, RewrittenTraceKeepsOriginalInstructionCount)

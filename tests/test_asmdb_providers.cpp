@@ -6,8 +6,10 @@
  * under a fake evaluator, the sweep axis, and the CLI's structured
  * diagnostics for the new flags.
  */
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <string>
@@ -437,6 +439,31 @@ TEST(CliDiagnostics, TwoPassProfileFlowRoundTrips)
                      "--distance-provider profile --profile-in " +
                      profile_path),
               0);
+}
+// A co-run writes its trace through the same writer as a single-core
+// run, with one scenario counter track per core.
+TEST(CliDiagnostics, MulticoreTraceOutWritesFile)
+{
+    const std::string path = ::testing::TempDir() + "/sipre_corun.json";
+    std::remove(path.c_str());
+    ASSERT_EQ(runCli("--instructions 20000 --cores 2 --trace-out " + path),
+              0);
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good());
+    const std::string doc((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+    EXPECT_NE(doc.find("ftq scenarios: core 0 "), std::string::npos);
+    EXPECT_NE(doc.find("ftq scenarios: core 1 "), std::string::npos);
+}
+
+// --profile attributes one core's busy cycles: a co-run refuses it up
+// front instead of running and then ignoring it.
+TEST(CliDiagnostics, MulticoreProfileExitsTwo)
+{
+    EXPECT_EQ(runCli("--instructions 20000 --cores 2 --profile"), 2);
+    EXPECT_EQ(runCli("--instructions 20000 --mix secret_srv12,secret_srv12 "
+                     "--profile"),
+              2);
 }
 #endif // SIPRE_CLI_BINARY
 

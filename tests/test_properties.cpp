@@ -6,13 +6,16 @@
  * printer renders every section.
  */
 #include <sstream>
+#include <string>
 #include <unordered_set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "asmdb/pipeline.hpp"
 #include "core/report.hpp"
 #include "core/simulator.hpp"
+#include "multicore/multicore.hpp"
 #include "trace/synth/workload.hpp"
 #include "trace/trace_stats.hpp"
 #include "util/rng.hpp"
@@ -141,6 +144,59 @@ TEST(Properties, ReportPrinterRendersAllSections)
          {"scenario 1", "scenario 2", "scenario 3", "head stall",
           "branch prediction", "caches", "IPC"}) {
         EXPECT_NE(out.find(needle), std::string::npos) << needle;
+    }
+}
+
+/** Sum of the four front-end state shares (percent) a report prints. */
+double
+reportedStateShareSum(const SimResult &r)
+{
+    std::ostringstream oss;
+    printReport(r, oss);
+    std::istringstream lines(oss.str());
+    double sum = 0.0;
+    int found = 0;
+    for (std::string line; std::getline(lines, line);) {
+        if (line.find("  scenario ") != 0 && line.find("  FTQ empty:") != 0)
+            continue;
+        const std::size_t pct = line.rfind('%');
+        const std::size_t start = line.rfind(' ', pct) + 1;
+        sum += std::stod(line.substr(start, pct - start));
+        ++found;
+    }
+    EXPECT_EQ(found, 4) << oss.str();
+    return sum;
+}
+
+// Scenario 1/2/3 and FTQ-empty cycles partition each core's cycles, so
+// their printed shares can never total more than 100%, however many
+// cores a co-run sums them over.
+TEST(Properties, ReportStateSharesNeverExceedWholeRun)
+{
+    const Trace base = smallWorkload(20'000);
+    std::vector<Trace> traces;
+    for (std::size_t i = 0; i < 4; ++i) {
+        traces.push_back(base);
+        traces.back().rebase(i * kCoreAddressStride);
+    }
+    for (const IPrefetcherKind kind :
+         {IPrefetcherKind::kNone, IPrefetcherKind::kNextLine,
+          IPrefetcherKind::kEipLite, IPrefetcherKind::kFdip,
+          IPrefetcherKind::kMana, IPrefetcherKind::kFdipMana}) {
+        SimConfig config = SimConfig::industry();
+        config.memory.l1i_prefetcher = kind;
+        for (const std::size_t cores : {1u, 2u, 4u}) {
+            std::vector<const Trace *> run_traces;
+            for (std::size_t i = 0; i < cores; ++i)
+                run_traces.push_back(&traces[i]);
+            MultiCoreSimulator sim(config, run_traces);
+            const double sum = reportedStateShareSum(sim.run());
+            // Each share is rounded to two decimals on its own.
+            EXPECT_LE(sum, 100.0 + 4 * 0.005)
+                << "hwpf " << static_cast<int>(kind) << ", cores "
+                << cores;
+            EXPECT_GT(sum, 0.0);
+        }
     }
 }
 

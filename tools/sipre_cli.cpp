@@ -93,7 +93,8 @@ usage(const char *argv0)
         "  --profile                  attribute the run's wall-clock to\n"
         "                             per-component ticks (front-end,\n"
         "                             back-end, each cache level, DRAM)\n"
-        "                             and print the table to stderr\n",
+        "                             and print the table to stderr\n"
+        "                             (single-core runs only)\n",
         argv0, kSimModeChoices, kPredictorChoices, kHwPrefetcherChoices,
         kDistanceProviderChoices);
     std::exit(1);
@@ -126,6 +127,41 @@ writeResultFile(const std::string &path, const SimResult &result)
                      path.c_str());
         return false;
     }
+    return true;
+}
+
+/**
+ * Write the run's Chrome trace-event JSON: the recorded spans plus one
+ * FTQ scenario counter track per recorded timeline (one per core on a
+ * co-run).
+ */
+bool
+writeTraceFile(const std::string &path, const SimResult &result)
+{
+    std::vector<trace_obs::CounterSeries> series;
+    if (result.scenario_timeline.enabled())
+        series.push_back(scenarioCounterSeries(
+            result.scenario_timeline, "ftq scenarios: " + result.workload +
+                                          "/" + result.config_label));
+    for (std::size_t i = 0; i < result.core_results.size(); ++i) {
+        const SimResult &core = result.core_results[i];
+        if (core.scenario_timeline.enabled())
+            series.push_back(scenarioCounterSeries(
+                core.scenario_timeline,
+                "ftq scenarios: core " + std::to_string(i) + " " +
+                    core.workload + "/" + core.config_label));
+    }
+    const std::string doc = trace_obs::buildChromeTrace(
+        trace_obs::Recorder::global(), /*job_filter=*/0, series,
+        "sipre_cli");
+    std::ofstream out(path, std::ios::trunc);
+    out << doc << '\n';
+    if (!out) {
+        std::fprintf(stderr, "error: cannot write trace to %s\n",
+                     path.c_str());
+        return false;
+    }
+    std::fprintf(stderr, "[sipre_cli] wrote trace to %s\n", path.c_str());
     return true;
 }
 
@@ -300,6 +336,13 @@ main(int argc, char **argv)
                      "synthesized workloads (no trace files)\n");
         return 2;
     }
+    if (multicore && profile) {
+        std::fprintf(stderr,
+                     "sipre_cli: error: --profile attributes a single "
+                     "core's busy cycles; it cannot profile a "
+                     "--cores/--mix run\n");
+        return 2;
+    }
 
     // --trace-out without an explicit window still gets a scenario
     // timeline: a trace with no counter tracks is rarely what was meant.
@@ -390,11 +433,8 @@ main(int argc, char **argv)
             printReport(result, std::cout);
         if (!result_out.empty() && !writeResultFile(result_out, result))
             return 1;
-        if (profile)
-            std::fprintf(stderr,
-                         "[sipre_cli] --profile attributes a single "
-                         "core's busy cycles; not yet wired for "
-                         "--cores/--mix runs\n");
+        if (!trace_out.empty() && !writeTraceFile(trace_out, result))
+            return 1;
         return 0;
     }
 
@@ -535,25 +575,7 @@ main(int argc, char **argv)
     if (!result_out.empty() && !writeResultFile(result_out, last_result))
         return 1;
 
-    if (!trace_out.empty()) {
-        std::vector<trace_obs::CounterSeries> series;
-        if (last_result.scenario_timeline.enabled())
-            series.push_back(scenarioCounterSeries(
-                last_result.scenario_timeline,
-                "ftq scenarios: " + last_result.workload + "/" +
-                    last_result.config_label));
-        const std::string doc = trace_obs::buildChromeTrace(
-            trace_obs::Recorder::global(), /*job_filter=*/0, series,
-            "sipre_cli");
-        std::ofstream out(trace_out, std::ios::trunc);
-        out << doc << '\n';
-        if (!out) {
-            std::fprintf(stderr, "error: cannot write trace to %s\n",
-                         trace_out.c_str());
-            return 1;
-        }
-        std::fprintf(stderr, "[sipre_cli] wrote trace to %s\n",
-                     trace_out.c_str());
-    }
+    if (!trace_out.empty() && !writeTraceFile(trace_out, last_result))
+        return 1;
     return 0;
 }
