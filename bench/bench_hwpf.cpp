@@ -87,26 +87,7 @@ main()
             cycles += r.cycles;
             effective += r.effective_instructions;
             l1i_misses += r.l1i.misses;
-            for (const HwPrefetchCounters &c : r.hwpf) {
-                HwPrefetchCounters *slot = nullptr;
-                for (HwPrefetchCounters &have : components)
-                    if (have.name == c.name)
-                        slot = &have;
-                if (slot == nullptr) {
-                    components.push_back(c);
-                    continue;
-                }
-                slot->issued += c.issued;
-                slot->filtered += c.filtered;
-                slot->dropped_overflow += c.dropped_overflow;
-                slot->dropped_redirect += c.dropped_redirect;
-                slot->dropped_tlb += c.dropped_tlb;
-                slot->deferred_tlb += c.deferred_tlb;
-                slot->useful += c.useful;
-                slot->late += c.late;
-                slot->polluting += c.polluting;
-                slot->demoted_fills += c.demoted_fills;
-            }
+            mergeByName(components, r.hwpf);
         }
         const auto t1 = std::chrono::steady_clock::now();
         const double secs = std::chrono::duration<double>(t1 - t0).count();

@@ -33,6 +33,7 @@
 #include "memory/hierarchy.hpp"
 #include "trace/trace.hpp"
 #include "util/circular_buffer.hpp"
+#include "util/field_list.hpp"
 #include "util/flat_map.hpp"
 
 namespace sipre
@@ -67,6 +68,20 @@ struct BackendStats
     std::uint64_t rob_full_cycles = 0;
     std::uint64_t empty_rob_cycles = 0; ///< starved by the front-end
 };
+
+/** BackendStats' field list (see util/field_list.hpp). */
+template <typename Visitor, FieldsOf<BackendStats>... S>
+void
+forEachField(Visitor &&visit, S &...s)
+{
+    visit("retired", s.retired...);
+    visit("retired_sw_prefetches", s.retired_sw_prefetches...);
+    visit("dispatched", s.dispatched...);
+    visit("loads_issued", s.loads_issued...);
+    visit("stores_issued", s.stores_issued...);
+    visit("rob_full_cycles", s.rob_full_cycles...);
+    visit("empty_rob_cycles", s.empty_rob_cycles...);
+}
 
 /**
  * The out-of-order core back-end. See file comment.

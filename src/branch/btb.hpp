@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "trace/instruction.hpp"
+#include "util/field_list.hpp"
 #include "util/types.hpp"
 
 namespace sipre
@@ -34,6 +35,17 @@ struct BtbStats
     std::uint64_t updates = 0;
     std::uint64_t evictions = 0;
 };
+
+/** BtbStats' field list (see util/field_list.hpp). */
+template <typename Visitor, FieldsOf<BtbStats>... S>
+void
+forEachField(Visitor &&visit, S &...s)
+{
+    visit("lookups", s.lookups...);
+    visit("hits", s.hits...);
+    visit("updates", s.updates...);
+    visit("evictions", s.evictions...);
+}
 
 /** A set-associative branch target buffer with true-LRU replacement. */
 class Btb

@@ -21,6 +21,7 @@
 #include "branch/history.hpp"
 #include "branch/indirect.hpp"
 #include "branch/ras.hpp"
+#include "util/field_list.hpp"
 #include "trace/instruction.hpp"
 
 namespace sipre
@@ -85,6 +86,17 @@ struct BranchUnitStats
     std::uint64_t btb_miss_taken = 0;   ///< taken branch unknown to BTB
     std::uint64_t target_mispredictions = 0;
 };
+
+/** BranchUnitStats' field list (see util/field_list.hpp). */
+template <typename Visitor, FieldsOf<BranchUnitStats>... S>
+void
+forEachField(Visitor &&visit, S &...s)
+{
+    visit("cond_predictions", s.cond_predictions...);
+    visit("cond_mispredictions", s.cond_mispredictions...);
+    visit("btb_miss_taken", s.btb_miss_taken...);
+    visit("target_mispredictions", s.target_mispredictions...);
+}
 
 /**
  * The assembled prediction engine. See file comment.

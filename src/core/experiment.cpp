@@ -48,16 +48,47 @@ envSize(const char *name, std::size_t fallback)
 
 // ------------------------------------------------------------ serializer
 
+/** A counter, or a name (always a whitespace-free token). */
+template <typename Scalar>
 void
-writeHistogram(std::ostream &os, const Histogram &h)
+writeField(std::ostream &os, const Scalar &v)
+{
+    os << v;
+}
+
+void
+writeField(std::ostream &os, const RunningStat &s)
+{
+    os << s.count() << ' ' << s.sum() << ' ' << s.min() << ' ' << s.max();
+}
+
+void
+writeField(std::ostream &os, const Histogram &h)
 {
     os << h.sum();
     for (std::size_t i = 0; i <= h.buckets(); ++i)
         os << ' ' << h.count(i);
 }
 
+template <typename Scalar>
 void
-readHistogram(std::istream &is, Histogram &h)
+readField(std::istream &is, Scalar &v)
+{
+    is >> v;
+}
+
+void
+readField(std::istream &is, RunningStat &s)
+{
+    std::uint64_t count = 0;
+    double sum = 0.0, min = 0.0, max = 0.0;
+    is >> count >> sum >> min >> max;
+    if (is)
+        s.restore(count, sum, min, max);
+}
+
+void
+readField(std::istream &is, Histogram &h)
 {
     std::uint64_t sum = 0;
     is >> sum;
@@ -68,98 +99,34 @@ readHistogram(std::istream &is, Histogram &h)
         h.restore(counts, sum);
 }
 
+/** Every listed member of each struct, each preceded by a space. */
+template <typename... Stats>
 void
-writeFrontend(std::ostream &os, const FrontendStats &f)
+writeFields(std::ostream &os, const Stats &...s)
 {
-    os << f.scenario1_cycles << ' ' << f.scenario2_cycles << ' '
-       << f.scenario3_cycles << ' ' << f.ftq_empty_cycles << ' '
-       << f.head_stall_cycles << ' ' << f.waiting_entry_events << ' '
-       << f.partial_head_events << ' ' << f.l1i_fetches_issued << ' '
-       << f.l1i_fetches_merged << ' ' << f.blocks_allocated << ' '
-       << f.instructions_delivered << ' ' << f.sw_prefetches_triggered
-       << ' ' << f.mispredict_stalls << ' ' << f.btb_miss_stalls << ' '
-       << f.stall_cycles_mispredict << ' ' << f.stall_cycles_btb_miss
-       << ' ' << f.pfc_resumes << ' ' << f.wrong_path_prefetches << ' '
-       << f.head_fetch_latency.count() << ' '
-       << f.head_fetch_latency.sum() << ' '
-       << f.head_fetch_latency.min() << ' '
-       << f.head_fetch_latency.max() << ' '
-       << f.nonhead_fetch_latency.count() << ' '
-       << f.nonhead_fetch_latency.sum() << ' '
-       << f.nonhead_fetch_latency.min() << ' '
-       << f.nonhead_fetch_latency.max() << ' ' << f.itlb_walks << ' ';
-    writeHistogram(os, f.head_latency_hist);
-    os << ' ';
-    writeHistogram(os, f.nonhead_latency_hist);
+    const auto write = [&os](const char *, const auto &v) {
+        os << ' ';
+        writeField(os, v);
+    };
+    (forEachField(write, s), ...);
 }
 
+template <typename... Stats>
 void
-readFrontend(std::istream &is, FrontendStats &f)
+readFields(std::istream &is, Stats &...s)
 {
-    std::uint64_t hc, nc;
-    double hs, hmin, hmax, ns, nmin, nmax;
-    is >> f.scenario1_cycles >> f.scenario2_cycles >> f.scenario3_cycles >>
-        f.ftq_empty_cycles >> f.head_stall_cycles >>
-        f.waiting_entry_events >> f.partial_head_events >>
-        f.l1i_fetches_issued >> f.l1i_fetches_merged >>
-        f.blocks_allocated >> f.instructions_delivered >>
-        f.sw_prefetches_triggered >> f.mispredict_stalls >>
-        f.btb_miss_stalls >> f.stall_cycles_mispredict >>
-        f.stall_cycles_btb_miss >> f.pfc_resumes >>
-        f.wrong_path_prefetches >> hc >> hs >> hmin >> hmax >> nc >> ns >>
-        nmin >> nmax >> f.itlb_walks;
-    f.head_fetch_latency.restore(hc, hs, hmin, hmax);
-    f.nonhead_fetch_latency.restore(nc, ns, nmin, nmax);
-    readHistogram(is, f.head_latency_hist);
-    readHistogram(is, f.nonhead_latency_hist);
-}
-
-void
-writeCache(std::ostream &os, const CacheStats &c)
-{
-    os << c.accesses << ' ' << c.hits << ' ' << c.misses << ' '
-       << c.mshr_merges << ' ' << c.prefetch_requests << ' '
-       << c.prefetch_hits << ' ' << c.prefetch_fills << ' '
-       << c.prefetch_useful << ' ' << c.prefetch_late << ' '
-       << c.evictions << ' ' << c.writebacks_out << ' '
-       << c.writebacks_in;
-}
-
-void
-readCache(std::istream &is, CacheStats &c)
-{
-    is >> c.accesses >> c.hits >> c.misses >> c.mshr_merges >>
-        c.prefetch_requests >> c.prefetch_hits >> c.prefetch_fills >>
-        c.prefetch_useful >> c.prefetch_late >> c.evictions >>
-        c.writebacks_out >> c.writebacks_in;
+    const auto read = [&is](const char *, auto &v) { readField(is, v); };
+    (forEachField(read, s), ...);
 }
 
 void
 writeResultBody(std::ostream &os, const SimResult &r)
 {
     // Both labels are single whitespace-free tokens by construction.
-    os << r.workload << ' ' << r.config_label << ' ';
-    os << r.instructions << ' ' << r.effective_instructions << ' '
-       << r.cycles << ' ';
-    writeFrontend(os, r.frontend);
-    os << ' ';
-    os << r.backend.retired << ' ' << r.backend.retired_sw_prefetches
-       << ' ' << r.backend.dispatched << ' ' << r.backend.loads_issued
-       << ' ' << r.backend.stores_issued << ' '
-       << r.backend.rob_full_cycles << ' ' << r.backend.empty_rob_cycles
-       << ' ';
-    os << r.branch.cond_predictions << ' ' << r.branch.cond_mispredictions
-       << ' ' << r.branch.btb_miss_taken << ' '
-       << r.branch.target_mispredictions << ' ';
-    os << r.btb.lookups << ' ' << r.btb.hits << ' ' << r.btb.updates
-       << ' ' << r.btb.evictions << ' ';
-    writeCache(os, r.l1i);
-    os << ' ';
-    writeCache(os, r.l1d);
-    os << ' ';
-    writeCache(os, r.l2);
-    os << ' ';
-    writeCache(os, r.llc);
+    os << r.workload << ' ' << r.config_label << ' ' << r.instructions
+       << ' ' << r.effective_instructions << ' ' << r.cycles;
+    writeFields(os, r.frontend, r.backend, r.branch, r.btb, r.l1i, r.l1d,
+                r.l2, r.llc);
     // Scenario timeline (v5): tagged section so a garbled record fails
     // loudly instead of shifting every following field.
     os << " tl " << r.scenario_timeline.window_size << ' '
@@ -175,13 +142,8 @@ writeResultBody(std::ostream &os, const SimResult &r)
     // cache version needn't change.
     if (!r.hwpf.empty()) {
         os << " hwpf " << r.hwpf.size();
-        for (const HwPrefetchCounters &c : r.hwpf) {
-            os << ' ' << c.name << ' ' << c.issued << ' ' << c.filtered
-               << ' ' << c.dropped_overflow << ' ' << c.dropped_redirect
-               << ' ' << c.dropped_tlb << ' ' << c.deferred_tlb << ' '
-               << c.useful << ' ' << c.late << ' ' << c.polluting << ' '
-               << c.demoted_fills;
-        }
+        for (const HwPrefetchCounters &c : r.hwpf)
+            writeFields(os, c);
     }
 }
 
@@ -204,12 +166,7 @@ writeResult(std::ostream &os, const SimResult &r)
     writeResultBody(os, r);
     os << " mc " << r.core_results.size();
     if (!r.core_results.empty()) {
-        os << ' ';
-        writeCache(os, r.shared_mem.llc);
-        os << ' ' << r.shared_mem.dram.reads << ' '
-           << r.shared_mem.dram.writebacks << ' '
-           << r.shared_mem.dram.row_hits << ' '
-           << r.shared_mem.dram.row_misses;
+        writeFields(os, r.shared_mem.llc, r.shared_mem.dram);
         writeU64Vector(os, r.shared_mem.llc_core_hits);
         writeU64Vector(os, r.shared_mem.llc_core_misses);
         writeU64Vector(os, r.shared_mem.port_grants);
@@ -236,20 +193,10 @@ constexpr std::uint64_t kMaxTimelineWindows = 1'048'576;
 void
 readResultBody(std::istream &is, SimResult &r)
 {
-    is >> r.workload >> r.config_label;
-    is >> r.instructions >> r.effective_instructions >> r.cycles;
-    readFrontend(is, r.frontend);
-    is >> r.backend.retired >> r.backend.retired_sw_prefetches >>
-        r.backend.dispatched >> r.backend.loads_issued >>
-        r.backend.stores_issued >> r.backend.rob_full_cycles >>
-        r.backend.empty_rob_cycles;
-    is >> r.branch.cond_predictions >> r.branch.cond_mispredictions >>
-        r.branch.btb_miss_taken >> r.branch.target_mispredictions;
-    is >> r.btb.lookups >> r.btb.hits >> r.btb.updates >> r.btb.evictions;
-    readCache(is, r.l1i);
-    readCache(is, r.l1d);
-    readCache(is, r.l2);
-    readCache(is, r.llc);
+    is >> r.workload >> r.config_label >> r.instructions >>
+        r.effective_instructions >> r.cycles;
+    readFields(is, r.frontend, r.backend, r.branch, r.btb, r.l1i, r.l1d,
+               r.l2, r.llc);
     std::string tag;
     std::uint64_t windows = 0;
     is >> tag;
@@ -287,11 +234,8 @@ readResultBody(std::istream &is, SimResult &r)
     }
     r.hwpf.assign(static_cast<std::size_t>(components),
                   HwPrefetchCounters{});
-    for (HwPrefetchCounters &c : r.hwpf) {
-        is >> c.name >> c.issued >> c.filtered >> c.dropped_overflow >>
-            c.dropped_redirect >> c.dropped_tlb >> c.deferred_tlb >>
-            c.useful >> c.late >> c.polluting >> c.demoted_fills;
-    }
+    for (HwPrefetchCounters &c : r.hwpf)
+        readFields(is, c);
 }
 
 /** Core counts past this are a garbled record, not a real machine. */
@@ -329,9 +273,7 @@ readResult(std::istream &is, SimResult &r)
     }
     if (cores == 0)
         return;
-    readCache(is, r.shared_mem.llc);
-    is >> r.shared_mem.dram.reads >> r.shared_mem.dram.writebacks >>
-        r.shared_mem.dram.row_hits >> r.shared_mem.dram.row_misses;
+    readFields(is, r.shared_mem.llc, r.shared_mem.dram);
     readU64Vector(is, r.shared_mem.llc_core_hits);
     readU64Vector(is, r.shared_mem.llc_core_misses);
     readU64Vector(is, r.shared_mem.port_grants);

@@ -1,10 +1,11 @@
 #include "core/json_io.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <iomanip>
+#include <cstring>
 #include <limits>
 #include <sstream>
 
@@ -328,10 +329,14 @@ jsonDouble(double value)
 {
     if (!std::isfinite(value))
         return "0";
-    std::ostringstream oss;
-    oss << std::setprecision(std::numeric_limits<double>::max_digits10)
-        << value;
-    return oss.str();
+    // %.17g, exactly what a max_digits10 ostream prints, without
+    // constructing a stream per number.
+    char digits[32];
+    const auto end = std::to_chars(digits, digits + sizeof digits, value,
+                                   std::chars_format::general,
+                                   std::numeric_limits<double>::max_digits10)
+                         .ptr;
+    return std::string(digits, end);
 }
 
 bool
@@ -393,7 +398,21 @@ namespace
 {
 
 void
-writeRunningStat(std::ostream &os, const RunningStat &s)
+writeJsonValue(std::ostream &os, std::uint64_t v)
+{
+    char digits[20];
+    const auto end = std::to_chars(digits, digits + sizeof digits, v).ptr;
+    os.rdbuf()->sputn(digits, end - digits);
+}
+
+void
+writeJsonValue(std::ostream &os, const std::string &v)
+{
+    os << '"' << jsonEscape(v) << '"';
+}
+
+void
+writeJsonValue(std::ostream &os, const RunningStat &s)
 {
     os << "{\"count\":" << s.count() << ",\"sum\":" << jsonDouble(s.sum())
        << ",\"min\":" << jsonDouble(s.min())
@@ -402,7 +421,7 @@ writeRunningStat(std::ostream &os, const RunningStat &s)
 }
 
 void
-writeHistogramJson(std::ostream &os, const Histogram &h)
+writeJsonValue(std::ostream &os, const Histogram &h)
 {
     os << "{\"width\":" << h.width() << ",\"sum\":" << h.sum()
        << ",\"counts\":[";
@@ -414,20 +433,49 @@ writeHistogramJson(std::ostream &os, const Histogram &h)
     os << "]}";
 }
 
+/** JSON member order: scalars (0), then RunningStats, then Histograms. */
+template <typename T> constexpr int kJsonGroup = 0;
+template <> constexpr int kJsonGroup<RunningStat> = 1;
+template <> constexpr int kJsonGroup<Histogram> = 2;
+
+/**
+ * `{` and every listed member of `s` as `"name":value`, without the
+ * closing brace. Members are grouped by kJsonGroup, as the schema has
+ * always had them; only FrontendStats::itlb_walks moves (it follows the
+ * RunningStats in the list, which is text order). Keys and counters go
+ * straight to the stream buffer: this runs on every /simulate
+ * response, and skipping the per-insertion sentry keeps it cheap.
+ */
+template <typename Stats>
 void
-writeCacheJson(std::ostream &os, const CacheStats &c)
+writeJsonMembers(std::ostream &os, const Stats &s)
 {
-    os << "{\"accesses\":" << c.accesses << ",\"hits\":" << c.hits
-       << ",\"misses\":" << c.misses
-       << ",\"mshr_merges\":" << c.mshr_merges
-       << ",\"prefetch_requests\":" << c.prefetch_requests
-       << ",\"prefetch_hits\":" << c.prefetch_hits
-       << ",\"prefetch_fills\":" << c.prefetch_fills
-       << ",\"prefetch_useful\":" << c.prefetch_useful
-       << ",\"prefetch_late\":" << c.prefetch_late
-       << ",\"evictions\":" << c.evictions
-       << ",\"writebacks_out\":" << c.writebacks_out
-       << ",\"writebacks_in\":" << c.writebacks_in << "}";
+    std::streambuf &out = *os.rdbuf();
+    char sep = '{';
+    for (int group = 0; group < 3; ++group) {
+        forEachField(
+            [&](const char *name, const auto &v) {
+                if (kJsonGroup<std::remove_cvref_t<decltype(v)>> != group)
+                    return;
+                out.sputc(sep);
+                out.sputc('"');
+                out.sputn(name, std::strlen(name));
+                out.sputn("\":", 2);
+                sep = ',';
+                writeJsonValue(os, v);
+            },
+            s);
+    }
+}
+
+/** `,"key":{...}`: one stats struct as a member of the enclosing object. */
+template <typename Stats>
+void
+writeJsonObject(std::ostream &os, const char *key, const Stats &s)
+{
+    os << ",\"" << key << "\":";
+    writeJsonMembers(os, s);
+    os << '}';
 }
 
 /**
@@ -447,81 +495,24 @@ writeResultJsonBody(std::ostream &os, const SimResult &r)
        << ",\"l1i_mpki\":" << jsonDouble(r.l1iMpki())
        << ",\"branch_mpki\":" << jsonDouble(r.branchMpki());
 
-    const FrontendStats &f = r.frontend;
-    os << ",\"frontend\":{\"scenario1_cycles\":" << f.scenario1_cycles
-       << ",\"scenario2_cycles\":" << f.scenario2_cycles
-       << ",\"scenario3_cycles\":" << f.scenario3_cycles
-       << ",\"ftq_empty_cycles\":" << f.ftq_empty_cycles
-       << ",\"head_stall_cycles\":" << f.head_stall_cycles
-       << ",\"waiting_entry_events\":" << f.waiting_entry_events
-       << ",\"partial_head_events\":" << f.partial_head_events
-       << ",\"l1i_fetches_issued\":" << f.l1i_fetches_issued
-       << ",\"l1i_fetches_merged\":" << f.l1i_fetches_merged
-       << ",\"blocks_allocated\":" << f.blocks_allocated
-       << ",\"instructions_delivered\":" << f.instructions_delivered
-       << ",\"sw_prefetches_triggered\":" << f.sw_prefetches_triggered
-       << ",\"mispredict_stalls\":" << f.mispredict_stalls
-       << ",\"btb_miss_stalls\":" << f.btb_miss_stalls
-       << ",\"stall_cycles_mispredict\":" << f.stall_cycles_mispredict
-       << ",\"stall_cycles_btb_miss\":" << f.stall_cycles_btb_miss
-       << ",\"pfc_resumes\":" << f.pfc_resumes
-       << ",\"wrong_path_prefetches\":" << f.wrong_path_prefetches
-       << ",\"itlb_walks\":" << f.itlb_walks
-       << ",\"head_fetch_latency\":";
-    writeRunningStat(os, f.head_fetch_latency);
-    os << ",\"nonhead_fetch_latency\":";
-    writeRunningStat(os, f.nonhead_fetch_latency);
-    os << ",\"head_latency_hist\":";
-    writeHistogramJson(os, f.head_latency_hist);
-    os << ",\"nonhead_latency_hist\":";
-    writeHistogramJson(os, f.nonhead_latency_hist);
-    os << "}";
-
-    os << ",\"backend\":{\"retired\":" << r.backend.retired
-       << ",\"retired_sw_prefetches\":" << r.backend.retired_sw_prefetches
-       << ",\"dispatched\":" << r.backend.dispatched
-       << ",\"loads_issued\":" << r.backend.loads_issued
-       << ",\"stores_issued\":" << r.backend.stores_issued
-       << ",\"rob_full_cycles\":" << r.backend.rob_full_cycles
-       << ",\"empty_rob_cycles\":" << r.backend.empty_rob_cycles << "}";
-
-    os << ",\"branch\":{\"cond_predictions\":" << r.branch.cond_predictions
-       << ",\"cond_mispredictions\":" << r.branch.cond_mispredictions
-       << ",\"btb_miss_taken\":" << r.branch.btb_miss_taken
-       << ",\"target_mispredictions\":" << r.branch.target_mispredictions
-       << "}";
-
-    os << ",\"btb\":{\"lookups\":" << r.btb.lookups
-       << ",\"hits\":" << r.btb.hits << ",\"updates\":" << r.btb.updates
-       << ",\"evictions\":" << r.btb.evictions << "}";
-
-    os << ",\"l1i\":";
-    writeCacheJson(os, r.l1i);
-    os << ",\"l1d\":";
-    writeCacheJson(os, r.l1d);
-    os << ",\"l2\":";
-    writeCacheJson(os, r.l2);
-    os << ",\"llc\":";
-    writeCacheJson(os, r.llc);
+    writeJsonObject(os, "frontend", r.frontend);
+    writeJsonObject(os, "backend", r.backend);
+    writeJsonObject(os, "branch", r.branch);
+    writeJsonObject(os, "btb", r.btb);
+    writeJsonObject(os, "l1i", r.l1i);
+    writeJsonObject(os, "l1d", r.l1d);
+    writeJsonObject(os, "l2", r.l2);
+    writeJsonObject(os, "llc", r.llc);
     // Present only when a hardware prefetcher ran, so unprefetched
     // results serialize byte-identically to pre-hwpf output.
     if (!r.hwpf.empty()) {
         os << ",\"hwpf\":[";
         for (std::size_t i = 0; i < r.hwpf.size(); ++i) {
-            const HwPrefetchCounters &c = r.hwpf[i];
             if (i != 0)
                 os << ',';
-            os << "{\"name\":\"" << jsonEscape(c.name)
-               << "\",\"issued\":" << c.issued
-               << ",\"filtered\":" << c.filtered
-               << ",\"dropped_overflow\":" << c.dropped_overflow
-               << ",\"dropped_redirect\":" << c.dropped_redirect
-               << ",\"dropped_tlb\":" << c.dropped_tlb
-               << ",\"deferred_tlb\":" << c.deferred_tlb
-               << ",\"useful\":" << c.useful << ",\"late\":" << c.late
-               << ",\"polluting\":" << c.polluting
-               << ",\"demoted_fills\":" << c.demoted_fills
-               << ",\"accuracy\":" << jsonDouble(c.accuracy()) << "}";
+            writeJsonMembers(os, r.hwpf[i]);
+            os << ",\"accuracy\":" << jsonDouble(r.hwpf[i].accuracy())
+               << "}";
         }
         os << "]";
     }
@@ -554,12 +545,10 @@ simResultToJson(const SimResult &r)
         const SharedMemStats &s = r.shared_mem;
         os << ",\"cores\":" << r.core_results.size()
            << ",\"shared_mem\":{\"llc\":";
-        writeCacheJson(os, s.llc);
-        os << ",\"dram\":{\"reads\":" << s.dram.reads
-           << ",\"writebacks\":" << s.dram.writebacks
-           << ",\"row_hits\":" << s.dram.row_hits
-           << ",\"row_misses\":" << s.dram.row_misses << "}"
-           << ",\"llc_core_hits\":" << jsonUIntArray(s.llc_core_hits)
+        writeJsonMembers(os, s.llc);
+        os << '}';
+        writeJsonObject(os, "dram", s.dram);
+        os << ",\"llc_core_hits\":" << jsonUIntArray(s.llc_core_hits)
            << ",\"llc_core_misses\":" << jsonUIntArray(s.llc_core_misses)
            << ",\"port_grants\":" << jsonUIntArray(s.port_grants)
            << ",\"port_queued\":" << jsonUIntArray(s.port_queued)

@@ -52,33 +52,22 @@ class Differ
         }
     }
 
-    void
-    check(const std::string &field, const CacheStats &a,
-          const CacheStats &b)
-    {
-        check(field + ".accesses", a.accesses, b.accesses);
-        check(field + ".hits", a.hits, b.hits);
-        check(field + ".misses", a.misses, b.misses);
-        check(field + ".mshr_merges", a.mshr_merges, b.mshr_merges);
-        check(field + ".prefetch_requests", a.prefetch_requests,
-              b.prefetch_requests);
-        check(field + ".prefetch_hits", a.prefetch_hits, b.prefetch_hits);
-        check(field + ".prefetch_fills", a.prefetch_fills,
-              b.prefetch_fills);
-        check(field + ".prefetch_useful", a.prefetch_useful,
-              b.prefetch_useful);
-        check(field + ".prefetch_late", a.prefetch_late, b.prefetch_late);
-        check(field + ".evictions", a.evictions, b.evictions);
-        check(field + ".writebacks_out", a.writebacks_out,
-              b.writebacks_out);
-        check(field + ".writebacks_in", a.writebacks_in, b.writebacks_in);
-    }
-
     const std::string &result() const { return diff_; }
 
   private:
     std::string diff_;
 };
+
+/** Every listed member of two stats structs, named `prefix` + member. */
+template <typename Stats>
+void
+checkFields(Differ &d, const std::string &prefix, const Stats &a,
+            const Stats &b)
+{
+    forEachField([&](const char *name, const auto &x,
+                     const auto &y) { d.check(prefix + name, x, y); },
+                 a, b);
+}
 
 /** Field-exact comparison of one result's scalar body under prefix p. */
 void
@@ -92,108 +81,20 @@ checkResult(Differ &d, const std::string &p, const SimResult &a,
     d.check(p + "effective_instructions", a.effective_instructions,
             b.effective_instructions);
 
-    const FrontendStats &fa = a.frontend;
-    const FrontendStats &fb = b.frontend;
-    d.check(p + "frontend.scenario1_cycles", fa.scenario1_cycles,
-            fb.scenario1_cycles);
-    d.check(p + "frontend.scenario2_cycles", fa.scenario2_cycles,
-            fb.scenario2_cycles);
-    d.check(p + "frontend.scenario3_cycles", fa.scenario3_cycles,
-            fb.scenario3_cycles);
-    d.check(p + "frontend.ftq_empty_cycles", fa.ftq_empty_cycles,
-            fb.ftq_empty_cycles);
-    d.check(p + "frontend.head_stall_cycles", fa.head_stall_cycles,
-            fb.head_stall_cycles);
-    d.check(p + "frontend.waiting_entry_events", fa.waiting_entry_events,
-            fb.waiting_entry_events);
-    d.check(p + "frontend.partial_head_events", fa.partial_head_events,
-            fb.partial_head_events);
-    d.check(p + "frontend.head_fetch_latency", fa.head_fetch_latency,
-            fb.head_fetch_latency);
-    d.check(p + "frontend.nonhead_fetch_latency", fa.nonhead_fetch_latency,
-            fb.nonhead_fetch_latency);
-    d.check(p + "frontend.head_latency_hist", fa.head_latency_hist,
-            fb.head_latency_hist);
-    d.check(p + "frontend.nonhead_latency_hist", fa.nonhead_latency_hist,
-            fb.nonhead_latency_hist);
-    d.check(p + "frontend.l1i_fetches_issued", fa.l1i_fetches_issued,
-            fb.l1i_fetches_issued);
-    d.check(p + "frontend.l1i_fetches_merged", fa.l1i_fetches_merged,
-            fb.l1i_fetches_merged);
-    d.check(p + "frontend.blocks_allocated", fa.blocks_allocated,
-            fb.blocks_allocated);
-    d.check(p + "frontend.instructions_delivered", fa.instructions_delivered,
-            fb.instructions_delivered);
-    d.check(p + "frontend.sw_prefetches_triggered",
-            fa.sw_prefetches_triggered, fb.sw_prefetches_triggered);
-    d.check(p + "frontend.mispredict_stalls", fa.mispredict_stalls,
-            fb.mispredict_stalls);
-    d.check(p + "frontend.btb_miss_stalls", fa.btb_miss_stalls,
-            fb.btb_miss_stalls);
-    d.check(p + "frontend.stall_cycles_mispredict",
-            fa.stall_cycles_mispredict, fb.stall_cycles_mispredict);
-    d.check(p + "frontend.stall_cycles_btb_miss", fa.stall_cycles_btb_miss,
-            fb.stall_cycles_btb_miss);
-    d.check(p + "frontend.pfc_resumes", fa.pfc_resumes, fb.pfc_resumes);
-    d.check(p + "frontend.wrong_path_prefetches", fa.wrong_path_prefetches,
-            fb.wrong_path_prefetches);
-    d.check(p + "frontend.itlb_walks", fa.itlb_walks, fb.itlb_walks);
-
-    d.check(p + "backend.retired", a.backend.retired, b.backend.retired);
-    d.check(p + "backend.retired_sw_prefetches",
-            a.backend.retired_sw_prefetches,
-            b.backend.retired_sw_prefetches);
-    d.check(p + "backend.dispatched", a.backend.dispatched,
-            b.backend.dispatched);
-    d.check(p + "backend.loads_issued", a.backend.loads_issued,
-            b.backend.loads_issued);
-    d.check(p + "backend.stores_issued", a.backend.stores_issued,
-            b.backend.stores_issued);
-    d.check(p + "backend.rob_full_cycles", a.backend.rob_full_cycles,
-            b.backend.rob_full_cycles);
-    d.check(p + "backend.empty_rob_cycles", a.backend.empty_rob_cycles,
-            b.backend.empty_rob_cycles);
-
-    d.check(p + "branch.cond_predictions", a.branch.cond_predictions,
-            b.branch.cond_predictions);
-    d.check(p + "branch.cond_mispredictions", a.branch.cond_mispredictions,
-            b.branch.cond_mispredictions);
-    d.check(p + "branch.btb_miss_taken", a.branch.btb_miss_taken,
-            b.branch.btb_miss_taken);
-    d.check(p + "branch.target_mispredictions",
-            a.branch.target_mispredictions, b.branch.target_mispredictions);
-
-    d.check(p + "btb.lookups", a.btb.lookups, b.btb.lookups);
-    d.check(p + "btb.hits", a.btb.hits, b.btb.hits);
-    d.check(p + "btb.updates", a.btb.updates, b.btb.updates);
-    d.check(p + "btb.evictions", a.btb.evictions, b.btb.evictions);
-
-    d.check(p + "l1i", a.l1i, b.l1i);
-    d.check(p + "l1d", a.l1d, b.l1d);
-    d.check(p + "l2", a.l2, b.l2);
-    d.check(p + "llc", a.llc, b.llc);
+    checkFields(d, p + "frontend.", a.frontend, b.frontend);
+    checkFields(d, p + "backend.", a.backend, b.backend);
+    checkFields(d, p + "branch.", a.branch, b.branch);
+    checkFields(d, p + "btb.", a.btb, b.btb);
+    checkFields(d, p + "l1i.", a.l1i, b.l1i);
+    checkFields(d, p + "l1d.", a.l1d, b.l1d);
+    checkFields(d, p + "l2.", a.l2, b.l2);
+    checkFields(d, p + "llc.", a.llc, b.llc);
 
     d.check(p + "hwpf.size", a.hwpf.size(), b.hwpf.size());
     for (std::size_t i = 0; i < std::min(a.hwpf.size(), b.hwpf.size());
          ++i) {
-        const std::string prefix = p + "hwpf[" + std::to_string(i) + "]";
-        const HwPrefetchCounters &ha = a.hwpf[i];
-        const HwPrefetchCounters &hb = b.hwpf[i];
-        d.check(prefix + ".name", ha.name, hb.name);
-        d.check(prefix + ".issued", ha.issued, hb.issued);
-        d.check(prefix + ".filtered", ha.filtered, hb.filtered);
-        d.check(prefix + ".dropped_overflow", ha.dropped_overflow,
-                hb.dropped_overflow);
-        d.check(prefix + ".dropped_redirect", ha.dropped_redirect,
-                hb.dropped_redirect);
-        d.check(prefix + ".dropped_tlb", ha.dropped_tlb, hb.dropped_tlb);
-        d.check(prefix + ".deferred_tlb", ha.deferred_tlb,
-                hb.deferred_tlb);
-        d.check(prefix + ".useful", ha.useful, hb.useful);
-        d.check(prefix + ".late", ha.late, hb.late);
-        d.check(prefix + ".polluting", ha.polluting, hb.polluting);
-        d.check(prefix + ".demoted_fills", ha.demoted_fills,
-                hb.demoted_fills);
+        checkFields(d, p + "hwpf[" + std::to_string(i) + "].", a.hwpf[i],
+                    b.hwpf[i]);
     }
 
     const ScenarioTimeline &ta = a.scenario_timeline;
@@ -247,14 +148,8 @@ diffSimResults(const SimResult &a, const SimResult &b)
 
     const SharedMemStats &sa = a.shared_mem;
     const SharedMemStats &sb = b.shared_mem;
-    d.check("shared_mem.llc", sa.llc, sb.llc);
-    d.check("shared_mem.dram.reads", sa.dram.reads, sb.dram.reads);
-    d.check("shared_mem.dram.writebacks", sa.dram.writebacks,
-            sb.dram.writebacks);
-    d.check("shared_mem.dram.row_hits", sa.dram.row_hits,
-            sb.dram.row_hits);
-    d.check("shared_mem.dram.row_misses", sa.dram.row_misses,
-            sb.dram.row_misses);
+    checkFields(d, "shared_mem.llc.", sa.llc, sb.llc);
+    checkFields(d, "shared_mem.dram.", sa.dram, sb.dram);
     checkVector(d, "shared_mem.llc_core_hits", sa.llc_core_hits,
                 sb.llc_core_hits);
     checkVector(d, "shared_mem.llc_core_misses", sa.llc_core_misses,

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 
+#include "util/field_list.hpp"
 #include "util/statistics.hpp"
 
 namespace sipre
@@ -57,6 +58,38 @@ struct FrontendStats
     std::uint64_t wrong_path_prefetches = 0;
     std::uint64_t itlb_walks = 0;
 };
+
+/** FrontendStats' field list (see util/field_list.hpp). */
+template <typename Visitor, FieldsOf<FrontendStats>... S>
+void
+forEachField(Visitor &&visit, S &...s)
+{
+    visit("scenario1_cycles", s.scenario1_cycles...);
+    visit("scenario2_cycles", s.scenario2_cycles...);
+    visit("scenario3_cycles", s.scenario3_cycles...);
+    visit("ftq_empty_cycles", s.ftq_empty_cycles...);
+    visit("head_stall_cycles", s.head_stall_cycles...);
+    visit("waiting_entry_events", s.waiting_entry_events...);
+    visit("partial_head_events", s.partial_head_events...);
+    visit("l1i_fetches_issued", s.l1i_fetches_issued...);
+    visit("l1i_fetches_merged", s.l1i_fetches_merged...);
+    visit("blocks_allocated", s.blocks_allocated...);
+    visit("instructions_delivered", s.instructions_delivered...);
+    visit("sw_prefetches_triggered", s.sw_prefetches_triggered...);
+    visit("mispredict_stalls", s.mispredict_stalls...);
+    visit("btb_miss_stalls", s.btb_miss_stalls...);
+    visit("stall_cycles_mispredict", s.stall_cycles_mispredict...);
+    visit("stall_cycles_btb_miss", s.stall_cycles_btb_miss...);
+    visit("pfc_resumes", s.pfc_resumes...);
+    visit("wrong_path_prefetches", s.wrong_path_prefetches...);
+    visit("head_fetch_latency", s.head_fetch_latency...);
+    visit("nonhead_fetch_latency", s.nonhead_fetch_latency...);
+    // After the RunningStats in the text format; the JSON writer groups
+    // it with the other scalars.
+    visit("itlb_walks", s.itlb_walks...);
+    visit("head_latency_hist", s.head_latency_hist...);
+    visit("nonhead_latency_hist", s.nonhead_latency_hist...);
+}
 
 } // namespace sipre
 

@@ -34,6 +34,7 @@
 #include "memory/iprefetcher.hpp"
 #include "memory/replacement.hpp"
 #include "memory/request.hpp"
+#include "util/field_list.hpp"
 
 namespace sipre
 {
@@ -69,6 +70,25 @@ struct CacheStats
     std::uint64_t writebacks_out = 0;
     std::uint64_t writebacks_in = 0;
 };
+
+/** CacheStats' field list (see util/field_list.hpp). */
+template <typename Visitor, FieldsOf<CacheStats>... S>
+void
+forEachField(Visitor &&visit, S &...s)
+{
+    visit("accesses", s.accesses...);
+    visit("hits", s.hits...);
+    visit("misses", s.misses...);
+    visit("mshr_merges", s.mshr_merges...);
+    visit("prefetch_requests", s.prefetch_requests...);
+    visit("prefetch_hits", s.prefetch_hits...);
+    visit("prefetch_fills", s.prefetch_fills...);
+    visit("prefetch_useful", s.prefetch_useful...);
+    visit("prefetch_late", s.prefetch_late...);
+    visit("evictions", s.evictions...);
+    visit("writebacks_out", s.writebacks_out...);
+    visit("writebacks_in", s.writebacks_in...);
+}
 
 /**
  * One timing cache level. See file comment for the flow.

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "memory/device.hpp"
+#include "util/field_list.hpp"
 
 namespace sipre
 {
@@ -34,6 +35,17 @@ struct DramStats
     std::uint64_t row_hits = 0;
     std::uint64_t row_misses = 0;
 };
+
+/** DramStats' field list (see util/field_list.hpp). */
+template <typename Visitor, FieldsOf<DramStats>... S>
+void
+forEachField(Visitor &&visit, S &...s)
+{
+    visit("reads", s.reads...);
+    visit("writebacks", s.writebacks...);
+    visit("row_hits", s.row_hits...);
+    visit("row_misses", s.row_misses...);
+}
 
 /**
  * Fixed-latency-per-row-state DRAM: one request may start every

@@ -8,6 +8,24 @@
 namespace sipre
 {
 
+void
+mergeByName(std::vector<HwPrefetchCounters> &totals,
+            const std::vector<HwPrefetchCounters> &run)
+{
+    for (const HwPrefetchCounters &c : run) {
+        HwPrefetchCounters *slot = nullptr;
+        for (HwPrefetchCounters &total : totals) {
+            if (total.name == c.name)
+                slot = &total;
+        }
+        if (slot == nullptr) {
+            slot = &totals.emplace_back();
+            slot->name = c.name;
+        }
+        mergeInto(*slot, c);
+    }
+}
+
 std::unique_ptr<InstrPrefetcher>
 makeInstrPrefetcher(IPrefetcherKind kind)
 {

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "util/circular_buffer.hpp"
+#include "util/field_list.hpp"
 #include "util/types.hpp"
 
 namespace sipre
@@ -91,6 +92,33 @@ struct HwPrefetchCounters
                                  static_cast<double>(issued);
     }
 };
+
+/** HwPrefetchCounters' field list (see util/field_list.hpp). */
+template <typename Visitor, FieldsOf<HwPrefetchCounters>... S>
+void
+forEachField(Visitor &&visit, S &...s)
+{
+    visit("name", s.name...);
+    visit("issued", s.issued...);
+    visit("filtered", s.filtered...);
+    visit("dropped_overflow", s.dropped_overflow...);
+    visit("dropped_redirect", s.dropped_redirect...);
+    visit("dropped_tlb", s.dropped_tlb...);
+    visit("deferred_tlb", s.deferred_tlb...);
+    visit("useful", s.useful...);
+    visit("late", s.late...);
+    visit("polluting", s.polluting...);
+    visit("demoted_fills", s.demoted_fills...);
+}
+
+/**
+ * Fold one run's per-component counters into running totals, matching
+ * components by name and appending unseen ones in run order. The
+ * co-run aggregate, the service's /metrics totals and bench_hwpf all
+ * accumulate through this.
+ */
+void mergeByName(std::vector<HwPrefetchCounters> &totals,
+                 const std::vector<HwPrefetchCounters> &run);
 
 /**
  * L1-I prefetcher interface: observes demand accesses, emits candidate

@@ -17,96 +17,6 @@ namespace
 constexpr std::size_t kDecodeQueueSize = 64;
 constexpr Cycle kDeadlockThreshold = 1'000'000;
 
-void
-mergeInto(CacheStats &into, const CacheStats &from)
-{
-    into.accesses += from.accesses;
-    into.hits += from.hits;
-    into.misses += from.misses;
-    into.mshr_merges += from.mshr_merges;
-    into.prefetch_requests += from.prefetch_requests;
-    into.prefetch_hits += from.prefetch_hits;
-    into.prefetch_fills += from.prefetch_fills;
-    into.prefetch_useful += from.prefetch_useful;
-    into.prefetch_late += from.prefetch_late;
-    into.evictions += from.evictions;
-    into.writebacks_out += from.writebacks_out;
-    into.writebacks_in += from.writebacks_in;
-}
-
-void
-mergeInto(FrontendStats &into, const FrontendStats &from)
-{
-    into.scenario1_cycles += from.scenario1_cycles;
-    into.scenario2_cycles += from.scenario2_cycles;
-    into.scenario3_cycles += from.scenario3_cycles;
-    into.ftq_empty_cycles += from.ftq_empty_cycles;
-    into.head_stall_cycles += from.head_stall_cycles;
-    into.waiting_entry_events += from.waiting_entry_events;
-    into.partial_head_events += from.partial_head_events;
-    into.head_fetch_latency.merge(from.head_fetch_latency);
-    into.nonhead_fetch_latency.merge(from.nonhead_fetch_latency);
-    into.head_latency_hist.merge(from.head_latency_hist);
-    into.nonhead_latency_hist.merge(from.nonhead_latency_hist);
-    into.l1i_fetches_issued += from.l1i_fetches_issued;
-    into.l1i_fetches_merged += from.l1i_fetches_merged;
-    into.blocks_allocated += from.blocks_allocated;
-    into.instructions_delivered += from.instructions_delivered;
-    into.sw_prefetches_triggered += from.sw_prefetches_triggered;
-    into.mispredict_stalls += from.mispredict_stalls;
-    into.btb_miss_stalls += from.btb_miss_stalls;
-    into.stall_cycles_mispredict += from.stall_cycles_mispredict;
-    into.stall_cycles_btb_miss += from.stall_cycles_btb_miss;
-    into.pfc_resumes += from.pfc_resumes;
-    into.wrong_path_prefetches += from.wrong_path_prefetches;
-    into.itlb_walks += from.itlb_walks;
-}
-
-void
-mergeInto(BackendStats &into, const BackendStats &from)
-{
-    into.retired += from.retired;
-    into.retired_sw_prefetches += from.retired_sw_prefetches;
-    into.dispatched += from.dispatched;
-    into.loads_issued += from.loads_issued;
-    into.stores_issued += from.stores_issued;
-    into.rob_full_cycles += from.rob_full_cycles;
-    into.empty_rob_cycles += from.empty_rob_cycles;
-}
-
-void
-mergeInto(BranchUnitStats &into, const BranchUnitStats &from)
-{
-    into.cond_predictions += from.cond_predictions;
-    into.cond_mispredictions += from.cond_mispredictions;
-    into.btb_miss_taken += from.btb_miss_taken;
-    into.target_mispredictions += from.target_mispredictions;
-}
-
-void
-mergeInto(BtbStats &into, const BtbStats &from)
-{
-    into.lookups += from.lookups;
-    into.hits += from.hits;
-    into.updates += from.updates;
-    into.evictions += from.evictions;
-}
-
-void
-mergeInto(HwPrefetchCounters &into, const HwPrefetchCounters &from)
-{
-    into.issued += from.issued;
-    into.filtered += from.filtered;
-    into.dropped_overflow += from.dropped_overflow;
-    into.dropped_redirect += from.dropped_redirect;
-    into.dropped_tlb += from.dropped_tlb;
-    into.deferred_tlb += from.deferred_tlb;
-    into.useful += from.useful;
-    into.late += from.late;
-    into.polluting += from.polluting;
-    into.demoted_fills += from.demoted_fills;
-}
-
 } // namespace
 
 MultiCoreSimulator::MultiCoreSimulator(
@@ -410,14 +320,7 @@ MultiCoreSimulator::run()
         mergeInto(agg.l1i, r.l1i);
         mergeInto(agg.l1d, r.l1d);
         mergeInto(agg.l2, r.l2);
-        // Every core runs the same prefetcher configuration, so the
-        // component lists line up index-for-index.
-        if (agg.hwpf.empty()) {
-            agg.hwpf = r.hwpf;
-        } else {
-            for (std::size_t c = 0; c < agg.hwpf.size(); ++c)
-                mergeInto(agg.hwpf[c], r.hwpf[c]);
-        }
+        mergeByName(agg.hwpf, r.hwpf);
     }
     // The per-core llc fields all duplicate the shared LLC; summing
     // them would count it n times, so the aggregate takes it verbatim.

@@ -517,28 +517,7 @@ SimulationEngine::workerLoop()
                 }
                 if (!result->hwpf.empty()) {
                     ++hwpf_runs_;
-                    for (const HwPrefetchCounters &c : result->hwpf) {
-                        HwPrefetchCounters *slot = nullptr;
-                        for (HwPrefetchCounters &acc : hwpf_) {
-                            if (acc.name == c.name)
-                                slot = &acc;
-                        }
-                        if (slot == nullptr) {
-                            hwpf_.emplace_back();
-                            hwpf_.back().name = c.name;
-                            slot = &hwpf_.back();
-                        }
-                        slot->issued += c.issued;
-                        slot->filtered += c.filtered;
-                        slot->dropped_overflow += c.dropped_overflow;
-                        slot->dropped_redirect += c.dropped_redirect;
-                        slot->dropped_tlb += c.dropped_tlb;
-                        slot->deferred_tlb += c.deferred_tlb;
-                        slot->useful += c.useful;
-                        slot->late += c.late;
-                        slot->polluting += c.polluting;
-                        slot->demoted_fills += c.demoted_fills;
-                    }
+                    mergeByName(hwpf_, result->hwpf);
                 }
                 if (asmdb_info.pipeline_ran) {
                     ++asmdb_runs_;

@@ -50,6 +50,23 @@ methodNotAllowed(const std::string &allow)
     return response;
 }
 
+/**
+ * One metric family labelled per named item: its TYPE line, then one
+ * sample per item. The exposition format wants each family as one
+ * contiguous group, so families never share a loop.
+ */
+template <typename Item, typename Value>
+void
+writeFamily(std::ostream &os, const char *family, const char *type,
+            const char *label, const std::vector<Item> &items, Value value)
+{
+    os << "# TYPE " << family << ' ' << type << "\n";
+    for (const Item &item : items) {
+        os << family << '{' << label << "=\"" << item.name << "\"} "
+           << value(item) << "\n";
+    }
+}
+
 } // namespace
 
 ServiceServer::ServiceServer(SimulationEngine &engine,
@@ -523,14 +540,12 @@ ServiceServer::handleMetrics() const
                  << "sipre_hwpf_drops_total{component=\"" << c.name
                  << "\",reason=\"tlb\"} " << c.dropped_tlb << "\n";
         }
-        body << "# TYPE sipre_hwpf_deferred_total counter\n"
-             << "# TYPE sipre_hwpf_demoted_fills_total counter\n";
-        for (const HwPrefetchCounters &c : stats.hwpf) {
-            body << "sipre_hwpf_deferred_total{component=\"" << c.name
-                 << "\"} " << c.deferred_tlb << "\n"
-                 << "sipre_hwpf_demoted_fills_total{component=\"" << c.name
-                 << "\"} " << c.demoted_fills << "\n";
-        }
+        writeFamily(body, "sipre_hwpf_deferred_total", "counter",
+                    "component", stats.hwpf,
+                    [](const HwPrefetchCounters &c) { return c.deferred_tlb; });
+        writeFamily(body, "sipre_hwpf_demoted_fills_total", "counter",
+                    "component", stats.hwpf,
+                    [](const HwPrefetchCounters &c) { return c.demoted_fills; });
     }
     // AsmDB distance providers: per-provider pipeline accounting,
     // accumulated over every fresh AsmDB-family run. Emitted only once
@@ -538,31 +553,27 @@ ServiceServer::handleMetrics() const
     // scrape.
     if (stats.asmdb_runs > 0) {
         body << "# TYPE sipre_asmdb_runs_total counter\n"
-             << "sipre_asmdb_runs_total " << stats.asmdb_runs << "\n"
-             << "# TYPE sipre_asmdb_provider_runs_total counter\n"
-             << "# TYPE sipre_asmdb_provider_insertions_total counter\n"
-             << "# TYPE sipre_asmdb_provider_tuned_targets_total "
-                "counter\n"
-             << "# TYPE sipre_asmdb_provider_eval_runs_total counter\n"
-             << "# TYPE sipre_asmdb_provider_min_distance_avg gauge\n";
-        for (const ProviderCounters &p : stats.providers) {
-            body << "sipre_asmdb_provider_runs_total{provider=\""
-                 << p.name << "\"} " << p.runs << "\n"
-                 << "sipre_asmdb_provider_insertions_total{provider=\""
-                 << p.name << "\"} " << p.insertions << "\n"
-                 << "sipre_asmdb_provider_tuned_targets_total{provider"
-                    "=\""
-                 << p.name << "\"} " << p.tuned_targets << "\n"
-                 << "sipre_asmdb_provider_eval_runs_total{provider=\""
-                 << p.name << "\"} " << p.eval_runs << "\n"
-                 << "sipre_asmdb_provider_min_distance_avg{provider=\""
-                 << p.name << "\"} "
-                 << (p.pipelines == 0
-                         ? 0.0
-                         : static_cast<double>(p.distance_sum) /
-                               static_cast<double>(p.pipelines))
-                 << "\n";
-        }
+             << "sipre_asmdb_runs_total " << stats.asmdb_runs << "\n";
+        const auto &providers = stats.providers;
+        writeFamily(body, "sipre_asmdb_provider_runs_total", "counter",
+                    "provider", providers,
+                    [](const ProviderCounters &p) { return p.runs; });
+        writeFamily(body, "sipre_asmdb_provider_insertions_total", "counter",
+                    "provider", providers,
+                    [](const ProviderCounters &p) { return p.insertions; });
+        writeFamily(body, "sipre_asmdb_provider_tuned_targets_total",
+                    "counter", "provider", providers,
+                    [](const ProviderCounters &p) { return p.tuned_targets; });
+        writeFamily(body, "sipre_asmdb_provider_eval_runs_total", "counter",
+                    "provider", providers,
+                    [](const ProviderCounters &p) { return p.eval_runs; });
+        writeFamily(body, "sipre_asmdb_provider_min_distance_avg", "gauge",
+                    "provider", providers, [](const ProviderCounters &p) {
+                        return p.pipelines == 0
+                                   ? 0.0
+                                   : static_cast<double>(p.distance_sum) /
+                                         static_cast<double>(p.pipelines);
+                    });
     }
     for (const auto &provider : metrics_providers_)
         body << provider();

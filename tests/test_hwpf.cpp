@@ -297,5 +297,23 @@ TEST(Counters, ResetStatsKeepsNameAndQueue)
     EXPECT_TRUE(fdip.hasCandidates()); // queued work survives warmup
 }
 
+TEST(Counters, MergeByNameSumsMatchingComponentsInFirstSeenOrder)
+{
+    std::vector<HwPrefetchCounters> totals;
+    HwPrefetchCounters fdip;
+    fdip.name = "fdip";
+    fdip.issued = 3;
+    HwPrefetchCounters mana;
+    mana.name = "mana";
+    mana.useful = 5;
+    mergeByName(totals, {fdip});
+    mergeByName(totals, {mana, fdip});
+    ASSERT_EQ(totals.size(), 2u);
+    EXPECT_EQ(totals[0].name, "fdip");
+    EXPECT_EQ(totals[0].issued, 6u);
+    EXPECT_EQ(totals[1].name, "mana");
+    EXPECT_EQ(totals[1].useful, 5u);
+}
+
 } // namespace
 } // namespace sipre::hwpf

@@ -286,6 +286,11 @@ TEST_F(MultiCoreDifferential, TwoCoreSkipMatchesReferenceWithFdipMana)
     ASSERT_EQ(ffw.hwpf.size(), 2u);
     EXPECT_EQ(ffw.hwpf[0].name, "fdip");
     EXPECT_EQ(ffw.hwpf[1].name, "mana");
+    ASSERT_EQ(ffw.core_results.size(), 2u);
+    for (std::size_t c = 0; c < 2; ++c) {
+        EXPECT_EQ(ffw.hwpf[c].issued, ffw.core_results[0].hwpf[c].issued +
+                                          ffw.core_results[1].hwpf[c].issued);
+    }
 }
 
 // Structural invariants of the arbitrated controller: at cores=1 the

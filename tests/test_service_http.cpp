@@ -10,6 +10,8 @@
 #include <chrono>
 #include <latch>
 #include <optional>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -86,6 +88,42 @@ metricValue(const std::string &metrics, const std::string &name)
     if (pos == std::string::npos)
         return ~0ull;
     return std::stoull(metrics.substr(pos + needle.size()));
+}
+
+/**
+ * The first exposition-format grouping violation in a scrape, or "":
+ * every sample must belong to the family of the most recent `# TYPE`
+ * line (a summary or histogram may add _count/_sum/_bucket), and no
+ * family may be declared twice.
+ */
+std::string
+familyGroupingViolation(const std::string &metrics)
+{
+    std::set<std::string> declared;
+    std::string family;
+    std::string type;
+    std::istringstream lines(metrics);
+    std::string line;
+    while (std::getline(lines, line)) {
+        if (line.rfind("# TYPE ", 0) == 0) {
+            std::istringstream fields(line.substr(7));
+            fields >> family >> type;
+            if (!declared.insert(family).second)
+                return "family declared twice: " + family;
+            continue;
+        }
+        if (line.empty() || line[0] == '#')
+            continue;
+        const std::string name = line.substr(0, line.find_first_of("{ "));
+        bool ok = name == family;
+        if (type == "summary" || type == "histogram") {
+            for (const char *suffix : {"_count", "_sum", "_bucket"})
+                ok = ok || name == family + suffix;
+        }
+        if (!ok)
+            return "sample " + name + " under # TYPE " + family;
+    }
+    return "";
 }
 
 } // namespace
@@ -440,6 +478,39 @@ TEST(ServiceHttp, MulticoreRequestCarriesSharedStateAndMetrics)
     const http::Response after =
         call(server.port(), get("/metrics"));
     EXPECT_EQ(metricValue(after.body, "sipre_multicore_runs_total"), 1u);
+
+    server.shutdown();
+}
+
+TEST(ServiceHttp, MetricsFamiliesAreContiguousUnderTheirType)
+{
+    EngineOptions engine_options;
+    engine_options.workers = 2;
+    SimulationEngine engine(engine_options);
+    ServiceServer server(engine, ServerOptions{});
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+
+    // Fill every conditional section: hwpf, AsmDB providers, co-runs.
+    for (const char *body :
+         {R"({"workload":"secret_srv12","instructions":30000,)"
+          R"("hw_prefetcher":"fdip"})",
+          R"({"workload":"secret_srv12","instructions":30000,)"
+          R"("mode":"asmdb"})",
+          R"({"workload":"secret_srv12","instructions":30000,"cores":2})"}) {
+        ASSERT_EQ(call(server.port(), postSimulate(body)).status, 200)
+            << body;
+    }
+    const http::Response metrics = call(server.port(), get("/metrics"));
+    ASSERT_EQ(metrics.status, 200);
+    for (const char *sample :
+         {"sipre_hwpf_deferred_total{component=\"fdip\"}",
+          "sipre_hwpf_demoted_fills_total{component=\"fdip\"}",
+          "sipre_asmdb_provider_runs_total{provider=\"static\"}",
+          "sipre_multicore_runs_total"}) {
+        EXPECT_NE(metrics.body.find(sample), std::string::npos) << sample;
+    }
+    EXPECT_EQ(familyGroupingViolation(metrics.body), "") << metrics.body;
 
     server.shutdown();
 }
