@@ -4,6 +4,7 @@
 #include <exception>
 #include <fstream>
 #include <stdexcept>
+#include <utility>
 
 #include "asmdb/extensions.hpp"
 #include "asmdb/pipeline.hpp"
@@ -20,186 +21,141 @@ namespace sipre::service
 namespace
 {
 
-/** The request's knob vector as AsmDB pipeline parameters. */
-asmdb::AsmdbParams
-asmdbParamsFor(const SimRequest &request)
-{
-    asmdb::AsmdbParams params;
-    params.distance_provider = request.distance_provider;
-    return params;
-}
-
-/** Fold one pipeline's provider accounting into the out-param. */
-void
-noteAsmdbRun(AsmdbRunInfo *info, const SimRequest &request,
-             const asmdb::DistanceDecision &decision,
-             const asmdb::AsmdbPlan &plan)
-{
-    if (info == nullptr)
-        return;
-    info->pipeline_ran = true;
-    info->provider = request.distance_provider;
-    ++info->pipelines;
-    info->insertions += plan.insertions.size();
-    info->tuned_targets += decision.overrides.size();
-    info->eval_runs += decision.eval_runs;
-    info->distance_sum += decision.min_distance;
-}
-
 /**
- * The multi-core form of every request mode: generate one trace per
- * mix entry, apply the mode's AsmDB artifacts per core (each workload
- * profiled separately, as in the single-core recipes), and co-run them
- * over the shared LLC/DRAM.
+ * One core's run inputs under the request's mode: the trace it runs
+ * (the original or the rewritten one), the no-overhead triggers, and
+ * whether to preload the plan's metadata. `trace` and `triggers` may
+ * point into `artifacts`, so a CoreRun must not move once they are set.
  */
-SimResult
-runMultiCoreRequest(const SimRequest &request,
-                    std::uint32_t scenario_window,
-                    AsmdbRunInfo *asmdb_info)
+struct CoreRun
 {
-    const auto suite = synth::cvp1LikeSuite();
-    const SimConfig config = request.toConfig();
-    const std::vector<std::string> mix = request.effectiveMix();
-
-    std::vector<Trace> traces;
-    traces.reserve(mix.size());
-    for (const std::string &name : mix) {
-        const synth::WorkloadSpec *spec = nullptr;
-        for (const auto &s : suite) {
-            if (s.name == name)
-                spec = &s;
-        }
-        if (spec == nullptr)
-            throw std::runtime_error("unknown workload " + name);
-        traces.push_back(
-            synth::generateTrace(*spec, request.instructions));
-        // Each core is a distinct process: rebase before any AsmDB
-        // profiling so artifacts live in the same address space.
-        traces.back().rebase((traces.size() - 1) * kCoreAddressStride);
-    }
-
-    // Artifact storage must outlive the simulator (it holds raw trace
-    // pointers); rewritten-trace modes swap each core's trace for its
-    // rewritten counterpart. Capacity is reserved up front because the
-    // swap stores &artifacts.back().rewrite.trace mid-loop — a grow
-    // would dangle every earlier core's pointer.
-    std::vector<asmdb::AsmdbArtifacts> artifacts;
-    std::vector<asmdb::FeedbackResult> feedback;
-    artifacts.reserve(traces.size());
-    feedback.reserve(traces.size());
-    std::vector<const Trace *> run_traces;
-    for (const Trace &t : traces)
-        run_traces.push_back(&t);
-
-    const asmdb::AsmdbParams params = asmdbParamsFor(request);
-    switch (request.mode) {
-    case SimMode::kBase:
-        break;
-    case SimMode::kAsmdb:
-        for (std::size_t i = 0; i < traces.size(); ++i) {
-            artifacts.push_back(
-                asmdb::runPipeline(traces[i], config, params));
-            run_traces[i] = &artifacts.back().rewrite.trace;
-        }
-        break;
-    case SimMode::kNoOverhead:
-    case SimMode::kMetadata:
-        for (const Trace &t : traces)
-            artifacts.push_back(asmdb::runPipeline(t, config, params));
-        break;
-    case SimMode::kFeedback:
-        for (std::size_t i = 0; i < traces.size(); ++i) {
-            feedback.push_back(
-                asmdb::runFeedbackDirected(traces[i], config, params));
-            run_traces[i] = &feedback.back().rewrite.trace;
-        }
-        break;
-    }
-    for (const asmdb::AsmdbArtifacts &a : artifacts)
-        noteAsmdbRun(asmdb_info, request, a.decision, a.plan);
-    for (const asmdb::FeedbackResult &fb : feedback)
-        noteAsmdbRun(asmdb_info, request, fb.decision, fb.plan);
-
-    MultiCoreSimulator sim(config, run_traces);
-    if (request.mode == SimMode::kNoOverhead) {
-        for (std::size_t i = 0; i < artifacts.size(); ++i)
-            sim.setSwPrefetchTriggers(i, &artifacts[i].triggers);
-    } else if (request.mode == SimMode::kMetadata) {
-        for (std::size_t i = 0; i < artifacts.size(); ++i)
-            sim.attachMetadataPreloader(
-                i, MetadataPreloadConfig{},
-                asmdb::buildMetadataMap(artifacts[i].plan));
-    }
-    if (scenario_window != 0)
-        sim.enableScenarioTimeline(scenario_window);
-    return sim.run();
-}
+    asmdb::AsmdbArtifacts artifacts; ///< pipeline output; empty in base
+    const Trace *trace = nullptr;
+    const SwPrefetchTriggers *triggers = nullptr;
+    bool preload_metadata = false;
+};
 
 } // namespace
 
 SimResult
-runSimRequest(const SimRequest &request, std::uint32_t scenario_window,
-              AsmdbRunInfo *asmdb_info)
+runSimRequest(const SimRequest &request, const RunInputs &inputs,
+              RunRecord *record)
 {
-    if (request.cores > 1)
-        return runMultiCoreRequest(request, scenario_window, asmdb_info);
-
-    const auto suite = synth::cvp1LikeSuite();
-    const synth::WorkloadSpec *spec = nullptr;
-    for (const auto &s : suite) {
-        if (s.name == request.workload)
-            spec = &s;
+    // One trace per core: the caller's, or each mix entry synthesized
+    // and rebased so every core is a distinct process before any AsmDB
+    // profiling (core 0's rebase is a no-op).
+    std::vector<Trace> synthesized;
+    if (inputs.trace == nullptr) {
+        const std::vector<std::string> mix = request.effectiveMix();
+        synthesized.reserve(mix.size());
+        for (const std::string &name : mix) {
+            const auto spec = synth::findWorkload(name);
+            if (!spec)
+                throw std::runtime_error("unknown workload " + name);
+            synthesized.push_back(
+                synth::generateTrace(*spec, request.instructions));
+            synthesized.back().rebase((synthesized.size() - 1) *
+                                      kCoreAddressStride);
+        }
+    } else if (request.cores != 1) {
+        throw std::invalid_argument(
+            "a caller-supplied trace runs on one core");
     }
-    if (spec == nullptr)
-        throw std::runtime_error("unknown workload " + request.workload);
 
-    const Trace trace = synth::generateTrace(*spec, request.instructions);
     const SimConfig config = request.toConfig();
-    const auto run = [scenario_window](Simulator &sim) {
-        if (scenario_window != 0)
-            sim.enableScenarioTimeline(scenario_window);
-        return sim.run();
-    };
+    asmdb::AsmdbParams params;
+    params.distance_provider = request.distance_provider;
+    params.external_profile = inputs.profile;
 
-    const asmdb::AsmdbParams params = asmdbParamsFor(request);
-    switch (request.mode) {
-    case SimMode::kBase: {
-        Simulator sim(config, trace);
-        return run(sim);
+    // Sized once and never grown: each CoreRun points into itself.
+    std::vector<CoreRun> cores(inputs.trace != nullptr ? 1
+                                                       : synthesized.size());
+    for (std::size_t i = 0; i < cores.size(); ++i) {
+        CoreRun &core = cores[i];
+        const Trace &trace =
+            inputs.trace != nullptr ? *inputs.trace : synthesized[i];
+        core.trace = &trace;
+        switch (request.mode) {
+        case SimMode::kBase:
+            break;
+        case SimMode::kAsmdb:
+            core.artifacts = asmdb::runPipeline(trace, config, params);
+            core.trace = &core.artifacts.rewrite.trace;
+            break;
+        case SimMode::kNoOverhead:
+            core.artifacts = asmdb::runPipeline(trace, config, params);
+            core.triggers = &core.artifacts.triggers;
+            break;
+        case SimMode::kMetadata:
+            core.artifacts = asmdb::runPipeline(trace, config, params);
+            core.preload_metadata = true;
+            break;
+        case SimMode::kFeedback: {
+            asmdb::FeedbackResult fb =
+                asmdb::runFeedbackDirected(trace, config, params);
+            core.artifacts.decision = std::move(fb.decision);
+            core.artifacts.plan = std::move(fb.plan);
+            core.artifacts.rewrite = std::move(fb.rewrite);
+            core.trace = &core.artifacts.rewrite.trace;
+            if (record != nullptr && cores.size() == 1) {
+                record->insertions_per_round =
+                    std::move(fb.insertions_per_round);
+                record->dropped_insertions = fb.dropped_insertions;
+            }
+            break;
+        }
+        }
+        if (record != nullptr && request.mode != SimMode::kBase) {
+            const asmdb::DistanceDecision &decision = core.artifacts.decision;
+            record->pipeline_ran = true;
+            record->provider = request.distance_provider;
+            ++record->pipelines;
+            record->insertions += core.artifacts.plan.insertions.size();
+            record->tuned_targets += decision.overrides.size();
+            record->eval_runs += decision.eval_runs;
+            record->distance_sum += decision.min_distance;
+        }
     }
-    case SimMode::kAsmdb: {
-        const auto artifacts = asmdb::runPipeline(trace, config, params);
-        noteAsmdbRun(asmdb_info, request, artifacts.decision,
-                     artifacts.plan);
-        Simulator sim(config, artifacts.rewrite.trace);
-        return run(sim);
+
+    // A single core never goes through MultiCoreSimulator: its heap
+    // scheduler costs ~5% for the same bit-identical result.
+    if (cores.size() == 1) {
+        const CoreRun &core = cores.front();
+        Simulator sim(config, *core.trace);
+        if (core.triggers != nullptr)
+            sim.setSwPrefetchTriggers(core.triggers);
+        if (core.preload_metadata)
+            sim.attachMetadataPreloader(
+                MetadataPreloadConfig{},
+                asmdb::buildMetadataMap(core.artifacts.plan));
+        if (inputs.scenario_window != 0)
+            sim.enableScenarioTimeline(inputs.scenario_window);
+        SimResult result = sim.run();
+        if (record != nullptr) {
+            record->static_bloat = core.artifacts.rewrite.staticBloat();
+            record->dynamic_bloat = core.artifacts.rewrite.dynamicBloat();
+            if (const MetadataPreloadStats *stats = sim.metadataStats())
+                record->metadata = *stats;
+            record->busy = sim.profile();
+        }
+        return result;
     }
-    case SimMode::kNoOverhead: {
-        const auto artifacts = asmdb::runPipeline(trace, config, params);
-        noteAsmdbRun(asmdb_info, request, artifacts.decision,
-                     artifacts.plan);
-        Simulator sim(config, trace);
-        sim.setSwPrefetchTriggers(&artifacts.triggers);
-        return run(sim);
+
+    std::vector<const Trace *> traces;
+    for (const CoreRun &core : cores)
+        traces.push_back(core.trace);
+    MultiCoreSimulator sim(config, traces);
+    for (std::size_t i = 0; i < cores.size(); ++i) {
+        if (cores[i].triggers != nullptr)
+            sim.setSwPrefetchTriggers(i, cores[i].triggers);
+        if (cores[i].preload_metadata)
+            sim.attachMetadataPreloader(
+                i, MetadataPreloadConfig{},
+                asmdb::buildMetadataMap(cores[i].artifacts.plan));
     }
-    case SimMode::kMetadata: {
-        const auto artifacts = asmdb::runPipeline(trace, config, params);
-        noteAsmdbRun(asmdb_info, request, artifacts.decision,
-                     artifacts.plan);
-        Simulator sim(config, trace);
-        sim.attachMetadataPreloader(
-            MetadataPreloadConfig{},
-            asmdb::buildMetadataMap(artifacts.plan));
-        return run(sim);
-    }
-    case SimMode::kFeedback: {
-        const auto fb = asmdb::runFeedbackDirected(trace, config, params);
-        noteAsmdbRun(asmdb_info, request, fb.decision, fb.plan);
-        Simulator sim(config, fb.rewrite.trace);
-        return run(sim);
-    }
-    }
-    throw std::runtime_error("unhandled mode");
+    if (inputs.scenario_window != 0)
+        sim.enableScenarioTimeline(inputs.scenario_window);
+    return sim.run();
 }
 
 namespace
@@ -471,7 +427,7 @@ SimulationEngine::workerLoop()
 
         std::shared_ptr<const SimResult> result;
         std::string error;
-        AsmdbRunInfo asmdb_info;
+        RunRecord record;
         bool injected = false;
         // The `engine` fault site models a worker whose simulation is
         // slow (delay) or dies (fail) — the submit()er must still get
@@ -489,8 +445,10 @@ SimulationEngine::workerLoop()
             trace_obs::Span span("engine.simulate", "service");
             span.arg("workload", job->request.workload);
             try {
-                result = std::make_shared<const SimResult>(runSimRequest(
-                    job->request, options_.scenario_window, &asmdb_info));
+                RunInputs inputs;
+                inputs.scenario_window = options_.scenario_window;
+                result = std::make_shared<const SimResult>(
+                    runSimRequest(job->request, inputs, &record));
             } catch (const std::exception &e) {
                 error = e.what();
             }
@@ -519,10 +477,10 @@ SimulationEngine::workerLoop()
                     ++hwpf_runs_;
                     mergeByName(hwpf_, result->hwpf);
                 }
-                if (asmdb_info.pipeline_ran) {
+                if (record.pipeline_ran) {
                     ++asmdb_runs_;
                     const char *name =
-                        distanceProviderName(asmdb_info.provider);
+                        distanceProviderName(record.provider);
                     ProviderCounters *slot = nullptr;
                     for (ProviderCounters &acc : providers_) {
                         if (acc.name == name)
@@ -534,11 +492,11 @@ SimulationEngine::workerLoop()
                         slot = &providers_.back();
                     }
                     ++slot->runs;
-                    slot->pipelines += asmdb_info.pipelines;
-                    slot->insertions += asmdb_info.insertions;
-                    slot->tuned_targets += asmdb_info.tuned_targets;
-                    slot->eval_runs += asmdb_info.eval_runs;
-                    slot->distance_sum += asmdb_info.distance_sum;
+                    slot->pipelines += record.pipelines;
+                    slot->insertions += record.insertions;
+                    slot->tuned_targets += record.tuned_targets;
+                    slot->eval_runs += record.eval_runs;
+                    slot->distance_sum += record.distance_sum;
                 }
                 cache_.put(job->key, result);
             } else {

@@ -16,16 +16,20 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "core/metadata_preload.hpp"
 #include "core/sim_result.hpp"
 #include "service/backend.hpp"
 #include "service/request.hpp"
 #include "service/result_cache.hpp"
+#include "trace/trace.hpp"
+#include "util/profiler.hpp"
 #include "util/statistics.hpp"
 
 namespace sipre::service
@@ -59,12 +63,34 @@ struct EngineOptions
 };
 
 /**
- * What the AsmDB pipeline(s) inside one runSimRequest() did — one
- * record per request, summed across cores on a multi-core run. Filled
- * only when the request's mode actually ran a pipeline, so `base`
- * runs leave it untouched.
+ * What a direct caller supplies to runSimRequest() beyond the request
+ * itself. The service passes only the scenario window; sipre_cli also
+ * passes a trace it loaded and a prior run's result.
  */
-struct AsmdbRunInfo
+struct RunInputs
+{
+    /**
+     * Run this trace instead of synthesizing `request.workload`. Only
+     * for one-core requests; not owned, must outlive the call.
+     */
+    const Trace *trace = nullptr;
+    /**
+     * A prior run's result feeding the `profile` distance provider
+     * (AsmdbParams::external_profile). Not owned.
+     */
+    const SimResult *profile = nullptr;
+    /** Nonzero: record the FTQ scenario timeline in windows this wide. */
+    std::uint32_t scenario_window = 0;
+};
+
+/**
+ * What one runSimRequest() did besides producing its SimResult. The
+ * AsmDB counters are summed across cores and filled only when the mode
+ * ran a pipeline, so `base` runs leave them untouched; the engine folds
+ * them into /metrics. The rest describes a one-core run only (what
+ * sipre_cli prints around the report) and stays empty on a co-run.
+ */
+struct RunRecord
 {
     bool pipeline_ran = false;
     DistanceProviderKind provider = DistanceProviderKind::kStatic;
@@ -73,9 +99,20 @@ struct AsmdbRunInfo
     std::uint64_t tuned_targets = 0; ///< per-target distance overrides
     std::uint64_t eval_runs = 0;     ///< adaptive evaluation sims
     std::uint64_t distance_sum = 0;  ///< sum of global min distances
+
+    // One-core runs only.
+    double static_bloat = 0.0;  ///< inserted / original static instrs
+    double dynamic_bloat = 0.0; ///< inserted / original dynamic instrs
+    /// Feedback mode: plan insertions per round, and the ones dropped.
+    std::vector<std::size_t> insertions_per_round;
+    std::uint64_t dropped_insertions = 0;
+    /// Metadata mode: the preloader's counters.
+    std::optional<MetadataPreloadStats> metadata;
+    /// Per-component busy time; all zero unless CycleProfiler is on.
+    ProfileAccumulator busy;
 };
 
-/** Per-provider accumulation of AsmdbRunInfo records (for /metrics). */
+/** Per-provider accumulation of RunRecord counters (for /metrics). */
 struct ProviderCounters
 {
     std::string name;
@@ -180,17 +217,18 @@ struct EngineStats
 };
 
 /**
- * Run one validated request to completion (trace synthesis, optional
- * AsmDB pipeline, simulation). This is the exact per-mode recipe
- * sipre_cli executes, factored out so both entry points and the
- * service workers share it. A nonzero `scenario_window` turns on the
- * windowed FTQ scenario timeline for the run. When `asmdb_info` is
- * non-null and the mode runs the AsmDB pipeline, it receives the
- * distance-provider accounting for the run.
+ * Run one validated request to completion: the one place a SimMode
+ * becomes simulations. Builds one trace per core (the caller's, or
+ * each synthesized `effectiveMix()` entry rebased into its own address
+ * space), applies the mode's AsmDB step to each core, and runs
+ * Simulator for one core or MultiCoreSimulator for more. sipre_cli,
+ * the service workers and the job shards (through the engine) all run
+ * through it. When `record` is non-null it receives what the run did
+ * besides its result (see RunRecord).
  */
 SimResult runSimRequest(const SimRequest &request,
-                        std::uint32_t scenario_window = 0,
-                        AsmdbRunInfo *asmdb_info = nullptr);
+                        const RunInputs &inputs = {},
+                        RunRecord *record = nullptr);
 
 /** See file comment. Thread-safe; submit() blocks until resolution. */
 class SimulationEngine

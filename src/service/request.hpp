@@ -60,10 +60,11 @@ struct SimRequest
     std::string canonicalKey() const;
 
     /**
-     * The SimConfig this request runs under. Mirrors sipre_cli exactly:
-     * starts from SimConfig::industry() and applies non-default knobs
-     * (so the label stays "industry-ftq24" for the default depth and
-     * becomes "ftqN" otherwise).
+     * The SimConfig this request runs under, on every entry point
+     * (sipre_cli fills a SimRequest too): starts from
+     * SimConfig::industry() and applies the knobs, so the label stays
+     * "industry-ftq24" at the default depth and becomes "ftqN"
+     * otherwise.
      */
     SimConfig toConfig() const;
 };

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <functional>
+#include <utility>
 
 #include "util/bits.hpp"
 #include "util/logging.hpp"
@@ -162,6 +163,16 @@ cvp1LikeSuite(std::size_t max_workloads)
     if (suite.size() > max_workloads)
         suite.resize(max_workloads);
     return suite;
+}
+
+std::optional<WorkloadSpec>
+findWorkload(const std::string &name)
+{
+    for (WorkloadSpec &spec : cvp1LikeSuite()) {
+        if (spec.name == name)
+            return std::move(spec);
+    }
+    return std::nullopt;
 }
 
 namespace

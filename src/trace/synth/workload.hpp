@@ -13,6 +13,7 @@
 #define SIPRE_TRACE_SYNTH_WORKLOAD_HPP
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -58,6 +59,9 @@ std::vector<WorkloadSpec> cvp1LikeSuite();
 
 /** A small subset of the suite (for quick tests/examples). */
 std::vector<WorkloadSpec> cvp1LikeSuite(std::size_t max_workloads);
+
+/** The suite workload called `name`, or nullopt when there is none. */
+std::optional<WorkloadSpec> findWorkload(const std::string &name);
 
 /**
  * Execute the program model to emit a dynamic trace of exactly

@@ -440,6 +440,24 @@ TEST(CliDiagnostics, TwoPassProfileFlowRoundTrips)
                      profile_path),
               0);
 }
+
+// --profile-in only feeds the 'profile' provider of an AsmDB mode;
+// anywhere else it would be silently ignored, so it is refused.
+TEST(CliDiagnostics, ProfileInThatWouldBeIgnoredExitsTwo)
+{
+    const std::string profile_path =
+        ::testing::TempDir() + "/sipre_unused_profile.txt";
+    ASSERT_EQ(runCli("--instructions 20000 --result-out " + profile_path),
+              0);
+    EXPECT_EQ(runCli("--instructions 20000 --mode asmdb --profile-in " +
+                     profile_path),
+              2);
+    EXPECT_EQ(runCli("--instructions 20000 --distance-provider profile "
+                     "--profile-in " +
+                     profile_path),
+              2);
+}
+
 // A co-run writes its trace through the same writer as a single-core
 // run, with one scenario counter track per core.
 TEST(CliDiagnostics, MulticoreTraceOutWritesFile)

@@ -31,6 +31,7 @@
 
 #include "cluster/cluster.hpp"
 #include "core/experiment.hpp"
+#include "jobs/job_store.hpp"
 #include "jobs/sweep.hpp"
 #include "service/client.hpp"
 #include "service/engine.hpp"
@@ -687,7 +688,9 @@ TEST(ClusterChaos, SigkillMidCampaignCompletesExactlyOnceByteIdentical)
 
     // The sweep: 8 distinct shards. Expanded here too, so the port
     // base below can be chosen such that the victim node provably owns
-    // at least one shard — otherwise killing it would prove nothing.
+    // at least three shards — otherwise killing it would prove
+    // nothing, and with A's two job workers three are needed for one
+    // of B's shards to be finished while another is still pending.
     const std::string spec =
         R"({"workloads":["secret_crypto52"],"instructions":20000,)"
         R"("ftq":[4,6,8,10,12,14,16,18]})";
@@ -698,9 +701,13 @@ TEST(ClusterChaos, SigkillMidCampaignCompletesExactlyOnceByteIdentical)
     const std::vector<SimRequest> shards = jobs::expandSweep(sweep);
     ASSERT_EQ(shards.size(), 8u);
 
+    // Fixed ports (peers must know each other's addresses), kept below
+    // Linux's ephemeral range (32768+): a port there can be held as
+    // the local end of some outgoing connection, and the daemon's
+    // listen would then fail.
     std::uint16_t base = 0;
     for (std::uint16_t candidate = static_cast<std::uint16_t>(
-             18'000 + (::getpid() * 7) % 20'000);
+             18'000 + (::getpid() * 7) % 12'000);
          base == 0; candidate += 4) {
         const std::vector<std::string> names = {
             "127.0.0.1:" + std::to_string(candidate),
@@ -710,7 +717,7 @@ TEST(ClusterChaos, SigkillMidCampaignCompletesExactlyOnceByteIdentical)
         for (const SimRequest &shard : shards)
             owned_by_b += rendezvousOwner(shard.canonicalKey(),
                                           names) == names[1];
-        if (owned_by_b > 0 && owned_by_b < shards.size())
+        if (owned_by_b >= 3 && owned_by_b < shards.size())
             base = candidate;
     }
     const std::string node_a = "127.0.0.1:" + std::to_string(base);
@@ -755,23 +762,53 @@ TEST(ClusterChaos, SigkillMidCampaignCompletesExactlyOnceByteIdentical)
     b.awaitUp();
     c.awaitUp();
 
+    // A's failure detector probes its peers from its own start, so it
+    // may have marked B (or C) down before they listened. Submit only
+    // once A sees both up: a B-owned shard that A thinks is down runs
+    // locally without any failover, which would leave nothing for the
+    // failover assertion below to count.
+    const auto ready_deadline = std::chrono::steady_clock::now() +
+                                std::chrono::seconds(30);
+    for (;;) {
+        ASSERT_LT(std::chrono::steady_clock::now(), ready_deadline)
+            << "A never saw both peers up";
+        const http::Response metrics = call(a.port, get("/metrics"));
+        if (metrics.status == 200 &&
+            metricValue(metrics.body, "sipre_cluster_peers_up") == 2)
+            break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+
     const http::Response submitted =
         call(a.port, postJson("/jobs", spec));
     ASSERT_EQ(submitted.status, 202) << submitted.body;
     const std::uint64_t job_id = jsonField(submitted.body, "id");
     ASSERT_EQ(jsonField(submitted.body, "shards"), 8u);
 
-    // Wait for the campaign to be genuinely mid-flight, then SIGKILL B
-    // — no drain, no goodbye, the hardest exit there is.
+    // Wait until B's share of the campaign is genuinely mid-flight —
+    // one of its shards finished, another still pending in A's
+    // checkpoint — then SIGKILL B: no drain, no goodbye, the hardest
+    // exit there is.
+    const std::string record_path =
+        jobs::jobRecordPath(scratch.path + "/jobs_a", job_id);
+    const std::vector<std::string> nodes = {node_a, node_b, node_c};
     const auto start_deadline = std::chrono::steady_clock::now() +
                                 std::chrono::seconds(60);
     for (;;) {
         ASSERT_LT(std::chrono::steady_clock::now(), start_deadline)
-            << "campaign never started";
-        const http::Response progress =
-            call(a.port, get("/jobs/" + std::to_string(job_id)));
-        if (progress.status == 200 &&
-            jsonField(progress.body, "shards_done") >= 1)
+            << "B's shards were never mid-flight";
+        jobs::JobRecord record;
+        std::size_t b_done = 0;
+        std::size_t b_pending = 0;
+        if (jobs::loadJobRecord(record_path, record)) {
+            for (const jobs::ShardRecord &shard : record.shards) {
+                if (rendezvousOwner(shard.key, nodes) != node_b)
+                    continue;
+                b_done += shard.state == jobs::ShardState::kDone;
+                b_pending += shard.state == jobs::ShardState::kPending;
+            }
+        }
+        if (b_done >= 1 && b_pending >= 1)
             break;
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }

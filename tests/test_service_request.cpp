@@ -300,8 +300,9 @@ TEST(ServiceRequest, FullOptionSpaceSweepHasNoCollisions)
 
 TEST(ServiceRequest, ToConfigMatchesCliSemantics)
 {
-    // Default depth keeps the industry preset label (CLI parity: the
-    // label only changes when --ftq is passed with a different value).
+    // Default depth keeps the industry preset label, also when spelled
+    // out (sipre_cli fills a SimRequest too, so `--ftq 24` runs as
+    // industry-ftq24); any other depth is labeled ftqN.
     const SimRequest defaults =
         mustParse(R"({"workload":"secret_srv12"})");
     EXPECT_EQ(simConfigToJson(defaults.toConfig()),
