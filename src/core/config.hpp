@@ -17,6 +17,9 @@
 namespace sipre
 {
 
+/** Most cores one Simulator runs (MemRequest::core is a byte). */
+inline constexpr std::uint32_t kMaxCores = 8;
+
 /** Complete configuration of one simulated core + memory system. */
 struct SimConfig
 {

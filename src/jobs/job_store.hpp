@@ -67,7 +67,7 @@ struct JobRecord
 };
 
 /** Bumped whenever the record layout changes; stale files are rejected. */
-inline constexpr int kJobRecordVersion = 4;
+inline constexpr int kJobRecordVersion = 5;
 
 /** File a job persists to: `<dir>/job_<id>.sipre`. */
 std::string jobRecordPath(const std::string &dir, std::uint64_t id);

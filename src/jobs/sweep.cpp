@@ -12,10 +12,14 @@ std::size_t
 SweepSpec::shardCount() const
 {
     const std::size_t workload_dim = mix.empty() ? workloads.size() : 1;
-    return workload_dim * cores.size() * ftq.size() * modes.size() *
+    // Base shards run no AsmDB, so they skip the provider axis.
+    const auto base = static_cast<std::size_t>(
+        std::count(modes.begin(), modes.end(), SimMode::kBase));
+    const std::size_t mode_dim =
+        base + (modes.size() - base) * distance_providers.size();
+    return workload_dim * cores.size() * ftq.size() * mode_dim *
            predictors.size() * hw_prefetchers.size() * pfc.size() *
-           ghr_filter.size() * wrong_path.size() *
-           distance_providers.size();
+           ghr_filter.size() * wrong_path.size();
 }
 
 namespace
@@ -360,11 +364,18 @@ expandSweep(const SweepSpec &spec)
         }
     }
 
+    // The provider only steers the AsmDB pipeline: a base shard runs
+    // once, under the default provider, whatever the axis lists.
+    const std::vector<DistanceProviderKind> no_provider_axis = {
+        DistanceProviderKind::kStatic};
     std::vector<service::SimRequest> shards;
     shards.reserve(spec.shardCount());
     for (const service::SimRequest &machine : machines) {
         for (const std::uint32_t ftq : spec.ftq) {
             for (const SimMode mode : spec.modes) {
+                const auto &providers = mode == SimMode::kBase
+                                            ? no_provider_axis
+                                            : spec.distance_providers;
                 for (const DirectionPredictorKind predictor :
                      spec.predictors) {
                     for (const IPrefetcherKind prefetcher :
@@ -373,7 +384,7 @@ expandSweep(const SweepSpec &spec)
                             for (const bool ghr : spec.ghr_filter) {
                                 for (const bool wp : spec.wrong_path) {
                                     for (const DistanceProviderKind dp :
-                                         spec.distance_providers) {
+                                         providers) {
                                         service::SimRequest request =
                                             machine;
                                         request.instructions =

@@ -50,7 +50,9 @@ struct SweepSpec
 
     /**
      * |workloads| × the product of all axis lengths (the workload
-     * dimension is 1 when a fixed `mix` stands in for it).
+     * dimension is 1 when a fixed `mix` stands in for it), except that
+     * `base` shards take no `distance_providers` axis: they run no
+     * AsmDB, so each counts once.
      */
     std::size_t shardCount() const;
 };

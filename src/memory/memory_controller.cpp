@@ -1,4 +1,4 @@
-#include "multicore/memory_controller.hpp"
+#include "memory/memory_controller.hpp"
 
 #include <algorithm>
 
@@ -64,9 +64,16 @@ MemoryController::Port::enqueue(MemRequest req)
 void
 MemoryController::tick(Cycle now)
 {
-    dram_->tick(now);
-    llc_->tick(now);
-    dram_depth_.add(dram_->pendingRequests());
+    {
+        ProfScope scope(profile_, ProfComponent::kDram);
+        dram_->tick(now);
+    }
+    {
+        ProfScope scope(profile_, ProfComponent::kLlc);
+        llc_->tick(now);
+    }
+    depth_ = dram_->pendingRequests();
+    dram_depth_.add(depth_);
 
     // Round-robin grant: starting from rr_next_, hand queued requests
     // to the LLC until the grant bandwidth or the LLC's input queue is

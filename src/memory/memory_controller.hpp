@@ -1,21 +1,22 @@
 /**
  * @file
- * The shared half of a multi-core memory system: one LLC over one DRAM,
- * fronted by an arbitrated memory controller with a bounded per-core
- * request queue and round-robin grant (the ChampSim shape).
+ * The shared half of the memory system: one LLC over one DRAM, fronted
+ * by an arbitrated memory controller with a bounded per-core request
+ * queue and round-robin grant (the ChampSim shape). Every Simulator
+ * owns one, whatever its core count.
  *
  * The controller is *exactly* transparent when there is no contention:
  * a request arriving at a port whose queue is empty — while no other
  * port has anything queued — is handed straight to the LLC in the same
  * call, and the port's canAccept() mirrors the LLC's own back-pressure.
  * At cores=1 the queue is therefore provably never populated and the
- * port behaves bit-identically to the L2 talking to the LLC directly,
- * which is what the MultiCoreDifferential suite pins down. Only under
+ * port behaves bit-identically to the L2 talking to the LLC directly
+ * (tests/test_cores1_digests.cpp pins the one-core results). Only under
  * cross-core contention do requests queue and pay the (at least one
  * cycle) arbitration delay.
  */
-#ifndef SIPRE_MULTICORE_MEMORY_CONTROLLER_HPP
-#define SIPRE_MULTICORE_MEMORY_CONTROLLER_HPP
+#ifndef SIPRE_MEMORY_MEMORY_CONTROLLER_HPP
+#define SIPRE_MEMORY_MEMORY_CONTROLLER_HPP
 
 #include <deque>
 #include <memory>
@@ -69,15 +70,11 @@ class MemoryController
 
     /**
      * Bulk accounting for cycles the scheduler proved are no-ops for
-     * the shared system: the DRAM queue cannot change while the shared
-     * side is idle, so the per-cycle occupancy samples the reference
-     * loop would have taken are `n` copies of the current depth.
+     * the shared system: the DRAM queue only changes inside tick(), so
+     * the per-cycle occupancy samples the reference loop would have
+     * taken are `n` copies of the depth the last tick left.
      */
-    void
-    accountSkippedCycles(std::uint64_t n)
-    {
-        dram_depth_.add(dram_->pendingRequests(), n);
-    }
+    void accountSkippedCycles(std::uint64_t n) { dram_depth_.add(depth_, n); }
 
     /**
      * Earliest cycle the shared system can act: queued port requests
@@ -101,6 +98,13 @@ class MemoryController
 
     /** Zero every shared counter (end of the last core's warmup). */
     void resetStats();
+
+    /**
+     * Attach a per-run profile accumulator: tick() attributes the DRAM
+     * and LLC ticks to their component slots while the process-wide
+     * CycleProfiler is armed (see MemoryHierarchy::setProfiler).
+     */
+    void setProfiler(ProfileAccumulator *acc) { profile_ = acc; }
 
   private:
     /**
@@ -141,8 +145,12 @@ class MemoryController
     std::vector<std::uint64_t> llc_core_hits_;
     std::vector<std::uint64_t> llc_core_misses_;
     Log2Histogram dram_depth_;
+    /// DRAM queue depth after the last tick; cached because skipped
+    /// cycles sample it and reading it from the DRAM costs more.
+    std::uint64_t depth_ = 0;
+    ProfileAccumulator *profile_ = nullptr;
 };
 
 } // namespace sipre
 
-#endif // SIPRE_MULTICORE_MEMORY_CONTROLLER_HPP
+#endif // SIPRE_MEMORY_MEMORY_CONTROLLER_HPP

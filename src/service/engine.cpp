@@ -9,7 +9,6 @@
 #include "asmdb/extensions.hpp"
 #include "asmdb/pipeline.hpp"
 #include "core/simulator.hpp"
-#include "multicore/multicore.hpp"
 #include "trace/synth/workload.hpp"
 #include "trace_obs/recorder.hpp"
 #include "util/fault.hpp"
@@ -117,34 +116,10 @@ runSimRequest(const SimRequest &request, const RunInputs &inputs,
         }
     }
 
-    // A single core never goes through MultiCoreSimulator: its heap
-    // scheduler costs ~5% for the same bit-identical result.
-    if (cores.size() == 1) {
-        const CoreRun &core = cores.front();
-        Simulator sim(config, *core.trace);
-        if (core.triggers != nullptr)
-            sim.setSwPrefetchTriggers(core.triggers);
-        if (core.preload_metadata)
-            sim.attachMetadataPreloader(
-                MetadataPreloadConfig{},
-                asmdb::buildMetadataMap(core.artifacts.plan));
-        if (inputs.scenario_window != 0)
-            sim.enableScenarioTimeline(inputs.scenario_window);
-        SimResult result = sim.run();
-        if (record != nullptr) {
-            record->static_bloat = core.artifacts.rewrite.staticBloat();
-            record->dynamic_bloat = core.artifacts.rewrite.dynamicBloat();
-            if (const MetadataPreloadStats *stats = sim.metadataStats())
-                record->metadata = *stats;
-            record->busy = sim.profile();
-        }
-        return result;
-    }
-
     std::vector<const Trace *> traces;
     for (const CoreRun &core : cores)
         traces.push_back(core.trace);
-    MultiCoreSimulator sim(config, traces);
+    Simulator sim(config, traces);
     for (std::size_t i = 0; i < cores.size(); ++i) {
         if (cores[i].triggers != nullptr)
             sim.setSwPrefetchTriggers(i, cores[i].triggers);
@@ -155,7 +130,16 @@ runSimRequest(const SimRequest &request, const RunInputs &inputs,
     }
     if (inputs.scenario_window != 0)
         sim.enableScenarioTimeline(inputs.scenario_window);
-    return sim.run();
+    SimResult result = sim.run();
+    if (record != nullptr && cores.size() == 1) {
+        const CoreRun &core = cores.front();
+        record->static_bloat = core.artifacts.rewrite.staticBloat();
+        record->dynamic_bloat = core.artifacts.rewrite.dynamicBloat();
+        if (const MetadataPreloadStats *stats = sim.metadataStats())
+            record->metadata = *stats;
+        record->busy = sim.profile();
+    }
+    return result;
 }
 
 namespace

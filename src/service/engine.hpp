@@ -220,8 +220,8 @@ struct EngineStats
  * Run one validated request to completion: the one place a SimMode
  * becomes simulations. Builds one trace per core (the caller's, or
  * each synthesized `effectiveMix()` entry rebased into its own address
- * space), applies the mode's AsmDB step to each core, and runs
- * Simulator for one core or MultiCoreSimulator for more. sipre_cli,
+ * space), applies the mode's AsmDB step to each core, and runs one
+ * Simulator over all the cores, however many there are. sipre_cli,
  * the service workers and the job shards (through the engine) all run
  * through it. When `record` is non-null it receives what the run did
  * besides its result (see RunRecord).

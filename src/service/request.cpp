@@ -224,6 +224,12 @@ parseSimRequest(const std::string &body, SimRequest &out, std::string &error)
         error = "missing required field 'workload'";
         return false;
     }
+    if (out.mode == SimMode::kBase &&
+        out.distance_provider != DistanceProviderKind::kStatic) {
+        error = "field 'distance_provider' steers the AsmDB pipeline; "
+                "mode 'base' runs none";
+        return false;
+    }
     // A single-entry mix is just a spelled-out homogeneous run; keep
     // the canonical form (empty mix) so both spellings share a key.
     if (out.mix.size() == 1 ||

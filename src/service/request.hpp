@@ -74,7 +74,7 @@ inline constexpr std::uint64_t kMinInstructions = 1'000;
 inline constexpr std::uint64_t kMaxInstructions = 100'000'000;
 inline constexpr std::uint32_t kMinFtqEntries = 1;
 inline constexpr std::uint32_t kMaxFtqEntries = 512;
-inline constexpr std::uint32_t kMaxCores = 8;
+using sipre::kMaxCores;
 
 /**
  * Parse and validate a JSON request body. Accepted fields (all

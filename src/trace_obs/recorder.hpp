@@ -41,7 +41,7 @@ namespace sipre::trace_obs
 {
 
 /** Argument slots per event (name/value pairs, truncated to fit). */
-inline constexpr std::size_t kMaxArgs = 2;
+inline constexpr std::size_t kMaxArgs = 3;
 
 /**
  * One completed span, fixed-size so the hot path never allocates.
@@ -58,7 +58,7 @@ struct TraceEvent
     std::uint64_t job = 0;    ///< owning job id (0 = none)
 };
 
-/** Default per-thread buffer capacity in events (~12 MiB / 64 threads). */
+/** Default per-thread buffer capacity in events (~16 MiB per thread). */
 inline constexpr std::size_t kDefaultCapacityPerThread = 65536;
 
 /**

@@ -376,6 +376,49 @@ TEST(DistanceProviderSweep, AxisExpandsInnermost)
     EXPECT_EQ(keys.size(), shards.size());
 }
 
+// Base shards run no AsmDB, so the provider axis does not multiply
+// them: {base, asmdb} x 3 providers is 1 base shard plus 3 asmdb ones.
+TEST(DistanceProviderSweep, BaseShardsSkipTheProviderAxis)
+{
+    jobs::SweepSpec spec;
+    std::string error;
+    ASSERT_TRUE(jobs::parseSweepSpec(
+        R"({"workloads":["secret_srv12","secret_int_124"],)"
+        R"("mode":["base","asmdb"],)"
+        R"("distance_provider":["static","profile","adaptive"]})",
+        spec, error))
+        << error;
+    EXPECT_EQ(spec.shardCount(), 2u * (1 + 3));
+
+    const auto shards = jobs::expandSweep(spec);
+    ASSERT_EQ(shards.size(), spec.shardCount());
+    std::size_t base = 0;
+    std::set<std::string> keys;
+    for (const auto &shard : shards) {
+        if (shard.mode == SimMode::kBase) {
+            ++base;
+            EXPECT_EQ(shard.distance_provider, DistanceProviderKind::kStatic);
+        }
+        keys.insert(shard.canonicalKey());
+        // Every shard is a request /simulate would accept.
+        service::SimRequest reparsed;
+        EXPECT_TRUE(parseSimRequest(service::requestToJson(shard), reparsed,
+                                    error))
+            << error;
+    }
+    EXPECT_EQ(base, 2u);
+    EXPECT_EQ(keys.size(), shards.size());
+
+    // A provider list without static still runs each base shard once.
+    ASSERT_TRUE(jobs::parseSweepSpec(
+        R"({"workloads":["secret_srv12"],"mode":["base","noovh"],)"
+        R"("distance_provider":["profile","adaptive"]})",
+        spec, error))
+        << error;
+    EXPECT_EQ(spec.shardCount(), 1u + 2);
+    EXPECT_EQ(jobs::expandSweep(spec).size(), 3u);
+}
+
 TEST(DistanceProviderSweep, SpecJsonRoundTrips)
 {
     jobs::SweepSpec spec;

@@ -8,6 +8,7 @@
  * exit-2 diagnostics for out-of-range numbers.
  */
 #include <cstdio>
+#include <ostream>
 #include <string>
 #include <sys/wait.h>
 #include <vector>
@@ -64,6 +65,23 @@ struct ParityCase
     const char *ftq; ///< nullptr: the default depth
 };
 
+/** The case's label: `base_Mix_Ftq2`, `asmdb_OneCore_FtqDefault`, ... */
+std::string
+caseName(const ParityCase &c)
+{
+    return std::string(c.mode) + (c.mix ? "_Mix" : "_OneCore") + "_Ftq" +
+           (c.ftq != nullptr ? c.ftq : "Default");
+}
+
+// Without this, gtest prints a ParityCase as its raw bytes, which hold
+// the string literals' addresses: the listed test names would then
+// change from build to build (and from run to run under ASLR).
+void
+PrintTo(const ParityCase &c, std::ostream *os)
+{
+    *os << caseName(c);
+}
+
 std::vector<ParityCase>
 parityMatrix()
 {
@@ -109,9 +127,7 @@ TEST_P(CliParity, JsonEqualsRunSimRequest)
 INSTANTIATE_TEST_SUITE_P(
     Matrix, CliParity, ::testing::ValuesIn(parityMatrix()),
     [](const ::testing::TestParamInfo<ParityCase> &param_info) {
-        const ParityCase &c = param_info.param;
-        return std::string(c.mode) + (c.mix ? "_Mix" : "_OneCore") +
-               "_Ftq" + (c.ftq != nullptr ? c.ftq : "Default");
+        return caseName(param_info.param);
     });
 
 // A saved trace run back through --load-trace is the same run as the
@@ -147,6 +163,24 @@ TEST(CliBounds, OutOfRangeNumbersExitTwo)
         EXPECT_EQ(cli.exit_code, 2) << args;
         EXPECT_TRUE(cli.out.empty()) << args;
     }
+}
+
+// A distance provider only steers AsmDB's pipeline: on a base run it
+// would change nothing, so the CLI refuses it like the service does.
+TEST(CliBounds, ProviderOnBaseModeExitsTwo)
+{
+    for (const char *args :
+         {"--distance-provider adaptive --instructions 20000",
+          "--mode base --distance-provider profile --instructions 20000",
+          "--cores 2 --distance-provider adaptive --instructions 20000"}) {
+        const CliRun cli = runCli(args);
+        EXPECT_EQ(cli.exit_code, 2) << args;
+        EXPECT_TRUE(cli.out.empty()) << args;
+    }
+    EXPECT_EQ(runCli("--mode asmdb --distance-provider adaptive "
+                     "--instructions 20000")
+                  .exit_code,
+              0);
 }
 
 } // namespace

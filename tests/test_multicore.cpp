@@ -1,32 +1,26 @@
 /**
  * @file
- * Differential tests for the multi-core subsystem. The two guarantees:
+ * Differential tests for co-runs on the one Simulator driver:
  *
- *  1. At cores=1 the MultiCoreSimulator — heap scheduler, arbitrated
- *     memory controller and all — is bit-identical to the single-core
- *     Simulator, field for field, across the full standard campaign
- *     (all 48 synth workloads through all six configurations).
+ *  - At cores>1 the skip scheduler is bit-identical to the reference
+ *    cycle-by-cycle loop (SIPRE_NO_SKIP), and repeated runs of the same
+ *    mix are deterministic.
+ *  - The arbitrated memory controller is a pure pass-through at cores=1
+ *    and attributes shared-LLC traffic per core under contention.
  *
- *  2. At cores>1 the heap scheduler is bit-identical to the reference
- *     cycle-by-cycle loop (SIPRE_NO_SKIP), and repeated runs of the
- *     same mix are deterministic.
+ * The one-core results themselves are pinned by the recorded digests
+ * in test_cores1_digests.cpp.
  */
-#include <atomic>
 #include <cstdlib>
 #include <sstream>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "asmdb/extensions.hpp"
-#include "asmdb/pipeline.hpp"
 #include "core/experiment.hpp"
 #include "core/json_io.hpp"
 #include "core/result_compare.hpp"
 #include "core/simulator.hpp"
-#include "multicore/multicore.hpp"
 #include "trace/synth/workload.hpp"
 
 namespace sipre
@@ -41,7 +35,7 @@ class MultiCoreDifferential : public ::testing::Test
     SetUp() override
     {
         // A stray SIPRE_NO_SKIP would turn every skip run into a
-        // reference run and make the heap-vs-loop comparisons vacuous.
+        // reference run and make the skip-vs-loop comparisons vacuous.
         ::unsetenv("SIPRE_NO_SKIP");
     }
 };
@@ -55,87 +49,17 @@ makeTrace(const char *name, synth::Archetype archetype,
         instructions);
 }
 
-/** One config run through the single-core Simulator. */
+/** One config run on one core. */
 SimResult
-runSingle(SimConfig config, const Trace &trace,
-          const SwPrefetchTriggers *triggers = nullptr)
+runSingle(const SimConfig &config, const Trace &trace)
 {
     Simulator sim(config, trace);
-    if (triggers != nullptr)
-        sim.setSwPrefetchTriggers(triggers);
     return sim.run();
 }
 
-/** The same run through the multi-core machinery with one core. */
-SimResult
-runMulti1(SimConfig config, const Trace &trace,
-          const SwPrefetchTriggers *triggers = nullptr)
-{
-    MultiCoreSimulator sim(config, {&trace});
-    if (triggers != nullptr)
-        sim.setSwPrefetchTriggers(0, triggers);
-    return sim.run();
-}
-
-void
-expectSameAsSingleCore(const SimConfig &config, const Trace &trace,
-                       const SwPrefetchTriggers *triggers = nullptr)
-{
-    const SimResult single = runSingle(config, trace, triggers);
-    const SimResult multi = runMulti1(config, trace, triggers);
-    EXPECT_EQ(diffSimResults(single, multi), "")
-        << "workload " << trace.name() << ", config " << config.label;
-}
-
-// The headline guarantee: the six standard-campaign configurations for
-// every synth workload are unchanged by routing the run through the
-// multi-core scheduler and the arbitrated memory controller at cores=1.
-// Mirrors runOneWorkload() in experiment.cpp, including the AsmDB
-// pipeline runs against both baselines.
-TEST_F(MultiCoreDifferential, StandardCampaignCores1BitIdentical)
-{
-    constexpr std::size_t kInstructions = 40'000;
-    const auto suite = synth::cvp1LikeSuite(48);
-
-    std::atomic<std::size_t> next{0};
-    auto worker = [&]() {
-        for (;;) {
-            const std::size_t index = next.fetch_add(1);
-            if (index >= suite.size())
-                return;
-            const Trace trace =
-                synth::generateTrace(suite[index], kInstructions);
-            SimConfig cons = SimConfig::conservative();
-            SimConfig industry = SimConfig::industry();
-            expectSameAsSingleCore(cons, trace);
-            expectSameAsSingleCore(industry, trace);
-            {
-                auto art = asmdb::runPipeline(trace, cons);
-                expectSameAsSingleCore(cons, art.rewrite.trace);
-                expectSameAsSingleCore(cons, trace, &art.triggers);
-            }
-            {
-                auto art = asmdb::runPipeline(trace, industry);
-                expectSameAsSingleCore(industry, art.rewrite.trace);
-                expectSameAsSingleCore(industry, trace, &art.triggers);
-            }
-        }
-    };
-
-    unsigned threads = std::max(1u, std::thread::hardware_concurrency());
-    threads = std::min<unsigned>(threads,
-                                 static_cast<unsigned>(suite.size()));
-    std::vector<std::thread> pool;
-    for (unsigned i = 0; i < threads; ++i)
-        pool.emplace_back(worker);
-    for (auto &t : pool)
-        t.join();
-}
-
-// The cores=1 identity also holds on the reference cycle-by-cycle loop
-// (fast_forward off on both sides), and the multi-core heap scheduler
-// matches the multi-core reference loop — the same two-sided pinning
-// the single-core skip loop gets from the SkipDifferential suite.
+// At cores=1 the reference cycle-by-cycle loop and the skip loop agree
+// through the arbitrated memory controller (the same two-sided pinning
+// the co-run mixes get below).
 TEST_F(MultiCoreDifferential, Cores1ReferenceLoopAndSkipLoopAgree)
 {
     const Trace trace =
@@ -143,57 +67,11 @@ TEST_F(MultiCoreDifferential, Cores1ReferenceLoopAndSkipLoopAgree)
     SimConfig config = SimConfig::industry();
 
     config.fast_forward = false;
-    const SimResult single_ref = runSingle(config, trace);
-    const SimResult multi_ref = runMulti1(config, trace);
-    EXPECT_EQ(diffSimResults(single_ref, multi_ref), "");
+    const SimResult reference = runSingle(config, trace);
 
     config.fast_forward = true;
-    const SimResult multi_ffw = runMulti1(config, trace);
-    EXPECT_EQ(diffSimResults(multi_ref, multi_ffw), "");
-}
-
-// Feature combinations at cores=1: metadata preloaders, the iTLB, and
-// HW prefetchers all route through the per-core attachment points.
-TEST_F(MultiCoreDifferential, Cores1FeatureCombinations)
-{
-    const Trace trace =
-        makeTrace("secret_srv12", synth::Archetype::kServer, 120'000);
-
-    SimConfig config = SimConfig::industry();
-    config.frontend.itlb = true;
-    config.memory.l1i_prefetcher = IPrefetcherKind::kEipLite;
-    config.memory.l1d_prefetcher = DPrefetcherKind::kIpStride;
-    expectSameAsSingleCore(config, trace);
-
-    const SimConfig industry = SimConfig::industry();
-    const auto art = asmdb::runPipeline(trace, industry);
-    const auto metadata = asmdb::buildMetadataMap(art.plan);
-    {
-        Simulator sim(industry, trace);
-        sim.attachMetadataPreloader(MetadataPreloadConfig{}, metadata);
-        const SimResult single = sim.run();
-        MultiCoreSimulator msim(industry, {&trace});
-        msim.attachMetadataPreloader(0, MetadataPreloadConfig{}, metadata);
-        const SimResult multi = msim.run();
-        EXPECT_EQ(diffSimResults(single, multi), "");
-    }
-}
-
-// The hwpf-managed prefetchers wire through per-core attachment points
-// (FTQ observer, iTLB, L1-I install); every kind must be bit-identical
-// between the single-core Simulator and the cores=1 multi-core path.
-TEST_F(MultiCoreDifferential, Cores1HwpfPrefetchersMatchSingleCore)
-{
-    const Trace trace =
-        makeTrace("secret_srv12", synth::Archetype::kServer, 120'000);
-    for (const auto kind :
-         {IPrefetcherKind::kFdip, IPrefetcherKind::kMana,
-          IPrefetcherKind::kFdipMana}) {
-        SimConfig config = SimConfig::industry();
-        config.frontend.itlb = true; // arm the TLB-aware wrapper
-        config.memory.l1i_prefetcher = kind;
-        expectSameAsSingleCore(config, trace);
-    }
+    const SimResult skip = runSingle(config, trace);
+    EXPECT_EQ(diffSimResults(reference, skip), "");
 }
 
 std::vector<Trace>
@@ -225,7 +103,7 @@ runMix(const SimConfig &config, const std::vector<Trace> &traces)
     std::vector<const Trace *> ptrs;
     for (const Trace &t : traces)
         ptrs.push_back(&t);
-    MultiCoreSimulator sim(config, ptrs);
+    Simulator sim(config, ptrs);
     return sim.run();
 }
 
@@ -244,7 +122,7 @@ TEST_F(MultiCoreDifferential, MixedRunsAreDeterministic)
     }
 }
 
-// The multi-core heap scheduler against the multi-core reference loop:
+// The multi-core skip scheduler against the multi-core reference loop:
 // a 2-core mix under SIPRE_NO_SKIP must be bit-identical to the same
 // mix fast-forwarded. This is the N-core generalization of the
 // single-core skip/reference differential.
@@ -263,7 +141,7 @@ TEST_F(MultiCoreDifferential, TwoCoreSkipMatchesReferenceLoop)
     EXPECT_EQ(diffSimResults(ref, ffw), "");
 }
 
-// Same heap-vs-loop check with the combined FDIP+MANA configuration:
+// Same skip-vs-loop check with the combined FDIP+MANA configuration:
 // the run-ahead walk's event claims and the prefetch drains must not
 // perturb the multi-core scheduler at cores>1 either.
 TEST_F(MultiCoreDifferential, TwoCoreSkipMatchesReferenceWithFdipMana)
@@ -302,7 +180,7 @@ TEST_F(MultiCoreDifferential, ControllerContentionAccounting)
     {
         const Trace trace =
             makeTrace("secret_srv12", synth::Archetype::kServer, 60'000);
-        MultiCoreSimulator sim(SimConfig::industry(), {&trace});
+        Simulator sim(SimConfig::industry(), {&trace});
         sim.run();
         const PortStats &port = sim.controller().portStats()[0];
         EXPECT_EQ(port.queued, 0u);
@@ -312,7 +190,7 @@ TEST_F(MultiCoreDifferential, ControllerContentionAccounting)
     {
         const auto traces = makeMixTraces(2);
         std::vector<const Trace *> ptrs{&traces[0], &traces[1]};
-        MultiCoreSimulator sim(SimConfig::industry(), ptrs);
+        Simulator sim(SimConfig::industry(), ptrs);
         const SimResult result = sim.run();
         ASSERT_EQ(result.core_results.size(), 2u);
         const auto &hits = result.shared_mem.llc_core_hits;
@@ -387,7 +265,7 @@ TEST_F(MultiCoreDifferential, ResultTextAndJsonCarryTheSharedState)
     // A single-core result keeps the legacy shape: no multi-core keys.
     const Trace solo =
         makeTrace("secret_srv12", synth::Archetype::kServer, 60'000);
-    const SimResult single = runMulti1(SimConfig::industry(), solo);
+    const SimResult single = runSingle(SimConfig::industry(), solo);
     const std::string single_json = simResultToJson(single);
     EXPECT_EQ(single_json.find("\"shared_mem\""), std::string::npos);
     EXPECT_EQ(single_json.find("\"core_results\""), std::string::npos);

@@ -15,7 +15,6 @@
 #include "asmdb/pipeline.hpp"
 #include "core/report.hpp"
 #include "core/simulator.hpp"
-#include "multicore/multicore.hpp"
 #include "trace/synth/workload.hpp"
 #include "trace/trace_stats.hpp"
 #include "util/rng.hpp"
@@ -189,7 +188,7 @@ TEST(Properties, ReportStateSharesNeverExceedWholeRun)
             std::vector<const Trace *> run_traces;
             for (std::size_t i = 0; i < cores; ++i)
                 run_traces.push_back(&traces[i]);
-            MultiCoreSimulator sim(config, run_traces);
+            Simulator sim(config, run_traces);
             const double sum = reportedStateShareSum(sim.run());
             // Each share is rounded to two decimals on its own.
             EXPECT_LE(sum, 100.0 + 4 * 0.005)

@@ -149,6 +149,30 @@ TEST(ServiceRequest, RejectionsAreSpecific)
               std::string::npos);
 }
 
+// The distance provider only steers the AsmDB pipeline, so naming a
+// non-static one on a base run is refused instead of silently ignored.
+TEST(ServiceRequest, BaseModeRefusesANonStaticProvider)
+{
+    for (const char *provider : {"profile", "adaptive"}) {
+        const std::string body =
+            std::string(R"({"workload":"secret_srv12","distance_provider":")") +
+            provider + "\"}";
+        EXPECT_NE(mustFail(body).find("distance_provider"), std::string::npos)
+            << provider;
+        EXPECT_NE(mustFail(R"({"mode":"base",)" + body.substr(1))
+                      .find("mode 'base'"),
+                  std::string::npos)
+            << provider;
+        const SimRequest asmdb = mustParse(R"({"mode":"asmdb",)" +
+                                           body.substr(1));
+        EXPECT_EQ(asmdb.mode, SimMode::kAsmdb);
+    }
+    EXPECT_EQ(mustParse(R"({"workload":"secret_srv12",)"
+                        R"("distance_provider":"static"})")
+                  .canonicalKey(),
+              mustParse(R"({"workload":"secret_srv12"})").canonicalKey());
+}
+
 TEST(ServiceRequest, CoresAndMixSpellingsShareOneCanonicalForm)
 {
     // A plain workload defaults to one core.

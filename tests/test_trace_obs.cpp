@@ -166,7 +166,8 @@ TEST(TraceObs, RecorderSpanBasics)
             Span inner("inner", "test");
             inner.arg("k0", "v0");
             inner.arg("k1", "v1");
-            inner.arg("k2", "dropped: only kMaxArgs stick");
+            inner.arg("k2", "v2");
+            inner.arg("k3", "dropped: only kMaxArgs stick");
         }
     }
 
@@ -191,10 +192,13 @@ TEST(TraceObs, RecorderSpanBasics)
     EXPECT_GE(outer_event->ts_ns + outer_event->dur_ns,
               inner_event->ts_ns + inner_event->dur_ns);
 
-    // Args: both inner slots used, third dropped silently.
+    // Args: every inner slot used, the fourth dropped silently.
+    static_assert(kMaxArgs == 3);
     EXPECT_STREQ(inner_event->arg_key[0], "k0");
     EXPECT_STREQ(inner_event->arg_val[0], "v0");
     EXPECT_STREQ(inner_event->arg_key[1], "k1");
+    EXPECT_STREQ(inner_event->arg_key[2], "k2");
+    EXPECT_STREQ(inner_event->arg_val[2], "v2");
     EXPECT_STREQ(outer_event->arg_key[1], "");
 
     EXPECT_EQ(Recorder::global().bufferedEvents(), 2u);
@@ -511,6 +515,57 @@ TEST(TraceObs, ConcurrentRequestsKeepSpanNestingDiscipline)
                 << ") on tid " << a.tid;
         }
     }
+}
+
+// A co-run is one Simulator run: a traced cores=2 /simulate records a
+// single sim.run span (tagged with its core count) inside the worker's
+// engine.simulate span, so no part of the co-run's wall time is dark.
+TEST(TraceObs, CoRunSimulationIsOneSimRunSpanUnderEngineSimulate)
+{
+    ScopedRecorder armed;
+
+    EngineOptions engine_options;
+    engine_options.workers = 1;
+    SimulationEngine engine(engine_options);
+    ServiceServer server(engine, ServerOptions{});
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+    const http::Response response = call(
+        server.port(),
+        post("/simulate", R"({"workload":"secret_srv12","cores":2,)"
+                          R"("instructions":20000})"));
+    ASSERT_EQ(response.status, 200) << response.body;
+    server.shutdown(/*drain_engine=*/true);
+
+    std::vector<TraceEvent> runs, simulates;
+    std::vector<std::uint32_t> run_tids, simulate_tids;
+    Recorder::global().forEachEvent(
+        [&](const TraceEvent &event, std::uint32_t tid) {
+            if (std::string(event.name) == "sim.run") {
+                runs.push_back(event);
+                run_tids.push_back(tid);
+            } else if (std::string(event.name) == "engine.simulate") {
+                simulates.push_back(event);
+                simulate_tids.push_back(tid);
+            }
+        });
+    ASSERT_EQ(runs.size(), 1u);
+    ASSERT_EQ(simulates.size(), 1u);
+    const TraceEvent &run = runs[0];
+    const TraceEvent &simulate = simulates[0];
+    EXPECT_EQ(run_tids[0], simulate_tids[0]);
+    EXPECT_LE(simulate.ts_ns, run.ts_ns);
+    EXPECT_GE(simulate.ts_ns + simulate.dur_ns, run.ts_ns + run.dur_ns);
+
+    std::string cores, workload;
+    for (std::size_t i = 0; i < kMaxArgs; ++i) {
+        if (std::string(run.arg_key[i]) == "cores")
+            cores = run.arg_val[i];
+        if (std::string(run.arg_key[i]) == "workload")
+            workload = run.arg_val[i];
+    }
+    EXPECT_EQ(cores, "2");
+    EXPECT_EQ(workload, "secret_srv12+secret_srv12");
 }
 
 // ------------------------------------------------------------- jobs HTTP

@@ -349,6 +349,13 @@ main(int argc, char **argv)
         }
         inputs.profile = &external_profile;
     }
+    if (request.mode == SimMode::kBase &&
+        request.distance_provider != DistanceProviderKind::kStatic) {
+        std::fprintf(stderr,
+                     "sipre_cli: error: --distance-provider steers the "
+                     "AsmDB pipeline; --mode base runs none\n");
+        return 2;
+    }
 
     // --trace-out without an explicit window still gets a scenario
     // timeline: a trace with no counter tracks is rarely what was meant.
