@@ -235,7 +235,7 @@ runRound(std::size_t cluster_size, unsigned threads,
         result.proxy_p50_ms =
             std::max(result.proxy_p50_ms,
                      static_cast<double>(
-                         tier_stats.proxy_latency_p50_us) /
+                         tier_stats.proxy_latency.p50_us) /
                          1000.0);
     }
     result.rps = result.elapsed_s > 0.0

@@ -11,7 +11,6 @@
 #include "memory/cache.hpp"
 #include "memory/dram.hpp"
 #include "trace/synth/workload.hpp"
-#include "util/profiler.hpp"
 #include "util/rng.hpp"
 
 namespace sipre
@@ -140,9 +139,9 @@ BENCHMARK(BM_SimulatorThroughput)->Arg(100000)->Unit(
     benchmark::kMillisecond);
 
 /**
- * Whole-simulator run with the busy-cycle profiler armed: the counters
- * report where the wall-clock of each iteration went. The per-component
- * ns totals are exported for the run so a regression in any single
+ * Whole-simulator run with its busy profile armed: the counters report
+ * where the wall-clock of each iteration went. The per-component ns
+ * totals are exported for the run so a regression in any single
  * component's tick cost is attributable from the benchmark output
  * alone (no external profiler needed).
  */
@@ -153,24 +152,21 @@ BM_SimulatorProfiled(benchmark::State &state)
         "secret_srv12", synth::Archetype::kServer, 0x517e2023ULL);
     const Trace trace = synth::generateTrace(
         spec, static_cast<std::size_t>(state.range(0)));
-    CycleProfiler::global().enable();
-    ProfileAccumulator total;
+    trace_obs::BusyProfile total;
     std::uint64_t cycles = 0;
     for (auto _ : state) {
         Simulator sim(SimConfig::industry(), trace);
+        sim.enableBusyProfile();
         cycles += sim.run().cycles;
-        const ProfileAccumulator &p = sim.profile();
-        for (std::size_t i = 0; i < total.slots.size(); ++i) {
-            total.slots[i].ns += p.slots[i].ns;
-            total.slots[i].ticks += p.slots[i].ticks;
-        }
+        total += sim.busyProfile(0);
+        total += sim.sharedBusyProfile();
     }
-    CycleProfiler::global().disable();
     for (std::size_t i = 0; i < total.slots.size(); ++i) {
-        const auto c = static_cast<ProfComponent>(i);
+        const auto c = static_cast<trace_obs::BusyComponent>(i);
         if (total.slots[i].ticks == 0)
             continue;
-        state.counters[std::string(profComponentName(c)) + "_ns_per_cycle"] =
+        state.counters[std::string(trace_obs::busyComponentName(c)) +
+                       "_ns_per_cycle"] =
             benchmark::Counter(
                 cycles != 0 ? static_cast<double>(total.slots[i].ns) /
                                   static_cast<double>(cycles)

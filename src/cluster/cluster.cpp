@@ -370,8 +370,7 @@ ClusterTier::resolve(const service::SimRequest &request,
             ++proxied_;
             if (fell_over)
                 ++failovers_;
-            proxy_latency_stat_.add(us);
-            proxy_latency_hist_.add(static_cast<std::uint64_t>(us));
+            proxy_latency_.add(us);
             return result;
         }
         std::lock_guard<std::mutex> lock(mutex_);
@@ -512,16 +511,7 @@ ClusterTier::stats() const
         if (peer.state.up)
             ++s.peers_up;
     }
-    s.proxy_latency_count = proxy_latency_stat_.count();
-    s.proxy_latency_sum_us = proxy_latency_stat_.sum();
-    if (proxy_latency_hist_.total() > 0) {
-        s.proxy_latency_p50_us =
-            proxy_latency_hist_.percentileUpperBound(0.50);
-        s.proxy_latency_p90_us =
-            proxy_latency_hist_.percentileUpperBound(0.90);
-        s.proxy_latency_p99_us =
-            proxy_latency_hist_.percentileUpperBound(0.99);
-    }
+    s.proxy_latency = proxy_latency_.snapshot();
     return s;
 }
 
@@ -557,17 +547,8 @@ ClusterTier::metricsText() const
          << "\n"
          << "sipre_cluster_probes_total{outcome=\"fail\"} "
          << s.probes_failed << "\n"
-         << "# TYPE sipre_cluster_proxy_latency_us summary\n"
-         << "sipre_cluster_proxy_latency_us_count "
-         << s.proxy_latency_count << "\n"
-         << "sipre_cluster_proxy_latency_us_sum "
-         << jsonDouble(s.proxy_latency_sum_us) << "\n"
-         << "sipre_cluster_proxy_latency_us{quantile=\"0.5\"} "
-         << s.proxy_latency_p50_us << "\n"
-         << "sipre_cluster_proxy_latency_us{quantile=\"0.9\"} "
-         << s.proxy_latency_p90_us << "\n"
-         << "sipre_cluster_proxy_latency_us{quantile=\"0.99\"} "
-         << s.proxy_latency_p99_us << "\n";
+         << service::http::prometheusSummary(
+                "sipre_cluster_proxy_latency_us", s.proxy_latency);
     return body.str();
 }
 

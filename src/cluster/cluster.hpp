@@ -88,12 +88,8 @@ struct ClusterStats
     std::uint64_t probes_failed = 0;
     std::vector<PeerState> peer_states;
 
-    // Proxy hop latency (successful resolutions), microseconds.
-    std::uint64_t proxy_latency_count = 0;
-    double proxy_latency_sum_us = 0.0;
-    std::uint64_t proxy_latency_p50_us = 0;
-    std::uint64_t proxy_latency_p90_us = 0;
-    std::uint64_t proxy_latency_p99_us = 0;
+    /// Proxy hop latency (successful resolutions).
+    LatencySummary::Snapshot proxy_latency;
 };
 
 /** Parse "host:port,host:port,..." into a peer list. */
@@ -202,8 +198,7 @@ class ClusterTier : public service::ResultBackend
     std::uint64_t remote_simulates_ = 0;
     std::uint64_t probes_ok_ = 0;
     std::uint64_t probes_failed_ = 0;
-    Log2Histogram proxy_latency_hist_;
-    RunningStat proxy_latency_stat_;
+    LatencySummary proxy_latency_;
 
     std::mutex probe_mutex_;
     std::condition_variable probe_cv_;

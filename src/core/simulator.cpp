@@ -12,6 +12,9 @@
 namespace sipre
 {
 
+using trace_obs::BusyComponent;
+using trace_obs::BusyScope;
+
 namespace
 {
 /** Decode-queue capacity between fetch and dispatch. */
@@ -31,7 +34,6 @@ Simulator::Simulator(const SimConfig &config,
     const auto n = static_cast<std::uint32_t>(traces.size());
     controller_ =
         std::make_unique<MemoryController>(config_.memory, controller, n);
-    controller_->setProfiler(&profile_);
 
     cores_.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
@@ -40,7 +42,6 @@ Simulator::Simulator(const SimConfig &config,
         core->memory = std::make_unique<MemoryHierarchy>(
             config_.memory, controller_->port(i), &controller_->llc(),
             &controller_->dram(), static_cast<std::uint8_t>(i));
-        core->memory->setProfiler(&profile_);
         core->decode_queue = std::make_unique<DecodeQueue>(kDecodeQueueSize);
         core->frontend = std::make_unique<DecoupledFrontEnd>(
             config_.frontend, *traces[i], *core->memory,
@@ -130,6 +131,16 @@ Simulator::enableScenarioTimeline(std::uint32_t window)
         core->frontend->enableScenarioTimeline(window);
 }
 
+void
+Simulator::enableBusyProfile()
+{
+    controller_->setBusyProfile(&shared_busy_);
+    for (auto &core : cores_) {
+        core->profile = &core->busy;
+        core->memory->setBusyProfile(&core->busy);
+    }
+}
+
 Cycle
 Simulator::nextEventCycle(Cycle now) const
 {
@@ -194,15 +205,15 @@ Simulator::run()
                     continue;
                 core.memory->tick(cycle);
                 if (core.preloader) {
-                    ProfScope scope(&profile_, ProfComponent::kPreloader);
+                    BusyScope scope(core.profile, BusyComponent::kPreloader);
                     core.preloader->tick(cycle, *core.memory);
                 }
                 {
-                    ProfScope scope(&profile_, ProfComponent::kBackend);
+                    BusyScope scope(core.profile, BusyComponent::kBackend);
                     core.backend->tick(cycle);
                 }
                 {
-                    ProfScope scope(&profile_, ProfComponent::kFrontend);
+                    BusyScope scope(core.profile, BusyComponent::kFrontend);
                     core.frontend->tick(cycle);
                 }
             }
@@ -235,7 +246,7 @@ Simulator::run()
                 if (core.preloader &&
                     (cycle == 0 ||
                      core.preloader->nextEventCycle(cycle - 1) <= cycle)) {
-                    ProfScope scope(&profile_, ProfComponent::kPreloader);
+                    BusyScope scope(core.profile, BusyComponent::kPreloader);
                     core.preloader->tick(cycle, *core.memory);
                     pre_ticked = true;
                 }
@@ -243,7 +254,7 @@ Simulator::run()
                 // arrived, exactly as in the reference order.
                 const std::size_t decode_before = core.decode_queue->size();
                 if (c_be <= cycle || !core.memory->dataCompleted().empty()) {
-                    ProfScope scope(&profile_, ProfComponent::kBackend);
+                    BusyScope scope(core.profile, BusyComponent::kBackend);
                     core.backend->tick(cycle);
                     be_ticked = true;
                 } else {
@@ -254,7 +265,7 @@ Simulator::run()
                 if (c_fe <= cycle || core.poked ||
                     core.decode_queue->size() < decode_before ||
                     !core.memory->ifetchCompleted().empty()) {
-                    ProfScope scope(&profile_, ProfComponent::kFrontend);
+                    BusyScope scope(core.profile, BusyComponent::kFrontend);
                     core.frontend->tick(cycle);
                     fe_ticked = true;
                 } else {

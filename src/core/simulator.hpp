@@ -21,6 +21,7 @@
 #include "memory/hierarchy.hpp"
 #include "memory/memory_controller.hpp"
 #include "trace/trace.hpp"
+#include "trace_obs/busy_profile.hpp"
 
 namespace sipre
 {
@@ -124,6 +125,15 @@ class Simulator
     void enableScenarioTimeline(std::uint32_t window);
 
     /**
+     * Turn on per-component busy-time attribution for this run (off by
+     * default): each core's component ticks accumulate into its own
+     * busyProfile(core), the shared LLC/DRAM into sharedBusyProfile().
+     * Call before run(). Like the scenario timeline it never changes
+     * the result; unarmed, every BusyScope is one null check.
+     */
+    void enableBusyProfile();
+
+    /**
      * Run every core's trace to retirement and collect results. With
      * one core the result has no core_results / shared_mem section;
      * with more, core_results holds each core's full SimResult,
@@ -156,13 +166,17 @@ class Simulator
     }
     Backend &backend(std::size_t core = 0) { return *cores_[core]->backend; }
 
-    /**
-     * Per-component wall-clock attribution of this simulator's run,
-     * summed over its cores. Populated only while the process-wide
-     * CycleProfiler is armed (sipre_cli --profile or SIPRE_PROFILE);
-     * empty otherwise.
-     */
-    const ProfileAccumulator &profile() const { return profile_; }
+    /** One core's busy profile; all zero unless enableBusyProfile(). */
+    const trace_obs::BusyProfile &
+    busyProfile(std::size_t core) const
+    {
+        return cores_[core]->busy;
+    }
+    /** The shared LLC/DRAM's busy profile (see busyProfile()). */
+    const trace_obs::BusyProfile &sharedBusyProfile() const
+    {
+        return shared_busy_;
+    }
 
   private:
     /** One core: private pipeline + L1/L2 slice + scheduler state. */
@@ -174,6 +188,9 @@ class Simulator
         std::unique_ptr<DecoupledFrontEnd> frontend;
         std::unique_ptr<Backend> backend;
         std::unique_ptr<MetadataPreloader> preloader;
+        trace_obs::BusyProfile busy;
+        /// &busy once the run is armed; null keeps every scope inert.
+        trace_obs::BusyProfile *profile = nullptr;
         /// Set when a back-end branch callback mutated front-end state
         /// this cycle; forces a front-end tick in the fast-forward loop.
         bool poked = false;
@@ -193,7 +210,7 @@ class Simulator
     std::unique_ptr<MemoryController> controller_;
     std::vector<std::unique_ptr<Core>> cores_;
     Cycle current_cycle_ = 0;
-    ProfileAccumulator profile_;
+    trace_obs::BusyProfile shared_busy_;
 };
 
 } // namespace sipre

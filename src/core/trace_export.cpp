@@ -24,4 +24,27 @@ scenarioCounterSeries(const ScenarioTimeline &timeline,
     return series;
 }
 
+trace_obs::CounterSeries
+busyCounterSeries(const trace_obs::BusyProfile &profile,
+                  const std::string &label, std::uint64_t start_ns,
+                  std::uint64_t end_ns)
+{
+    trace_obs::CounterSeries series;
+    series.name = label;
+    trace_obs::CounterSeries::Point during{
+        static_cast<double>(start_ns) / 1000.0, {}};
+    for (std::size_t i = 0; i < profile.slots.size(); ++i) {
+        if (profile.slots[i].ticks == 0)
+            continue;
+        series.keys.push_back(trace_obs::busyComponentName(
+            static_cast<trace_obs::BusyComponent>(i)));
+        during.values.push_back(profile.slots[i].ns);
+    }
+    trace_obs::CounterSeries::Point after{
+        static_cast<double>(end_ns) / 1000.0,
+        std::vector<std::uint64_t>(during.values.size(), 0)};
+    series.points = {std::move(during), std::move(after)};
+    return series;
+}
+
 } // namespace sipre

@@ -237,17 +237,8 @@ JobHttpHandler::metricsText() const
          << "sipre_jobs_active " << stats.jobs_active << "\n"
          << "# TYPE sipre_jobs_known gauge\n"
          << "sipre_jobs_known " << stats.jobs_total << "\n"
-         << "# TYPE sipre_job_shard_latency_us summary\n"
-         << "sipre_job_shard_latency_us_count "
-         << stats.shard_latency_count << "\n"
-         << "sipre_job_shard_latency_us_sum "
-         << jsonDouble(stats.shard_latency_sum_us) << "\n"
-         << "sipre_job_shard_latency_us{quantile=\"0.5\"} "
-         << stats.shard_latency_p50_us << "\n"
-         << "sipre_job_shard_latency_us{quantile=\"0.9\"} "
-         << stats.shard_latency_p90_us << "\n"
-         << "sipre_job_shard_latency_us{quantile=\"0.99\"} "
-         << stats.shard_latency_p99_us << "\n";
+         << service::http::prometheusSummary(
+                "sipre_job_shard_latency_us", stats.shard_latency);
     return body.str();
 }
 

@@ -267,9 +267,7 @@ JobManager::executorLoop()
                 ++shards_cached_;
             if (outcome.proxied)
                 ++shards_proxied_;
-            shard_latency_stat_.add(outcome.latency_us);
-            shard_latency_hist_.add(
-                static_cast<std::uint64_t>(outcome.latency_us));
+            shard_latency_.add(outcome.latency_us);
         } else {
             shard.state = ShardState::kFailed;
             shard.error = outcome.error.empty() ? "simulation failed"
@@ -306,8 +304,8 @@ JobManager::progress(std::uint64_t id) const
     p.shards_cached = record.cachedShards();
     if (!jobStateIsTerminal(record.state) &&
         p.shards_done < p.shards_total &&
-        shard_latency_hist_.total() > 0) {
-        const double mean_us = shard_latency_hist_.mean();
+        shard_latency_.count() > 0) {
+        const double mean_us = shard_latency_.mean();
         const double remaining =
             static_cast<double>(p.shards_total - p.shards_done);
         const double width = options_.shard_workers > 0
@@ -443,16 +441,7 @@ JobManager::stats() const
         if (!jobStateIsTerminal(entry->record.state))
             ++s.jobs_active;
     }
-    s.shard_latency_count = shard_latency_stat_.count();
-    s.shard_latency_sum_us = shard_latency_stat_.sum();
-    if (shard_latency_hist_.total() > 0) {
-        s.shard_latency_p50_us =
-            shard_latency_hist_.percentileUpperBound(0.50);
-        s.shard_latency_p90_us =
-            shard_latency_hist_.percentileUpperBound(0.90);
-        s.shard_latency_p99_us =
-            shard_latency_hist_.percentileUpperBound(0.99);
-    }
+    s.shard_latency = shard_latency_.snapshot();
     return s;
 }
 

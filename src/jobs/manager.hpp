@@ -116,12 +116,8 @@ struct JobManagerStats
     std::size_t jobs_active = 0;      ///< non-terminal jobs (gauge)
     std::size_t jobs_total = 0;       ///< jobs known (gauge)
 
-    // Shard latency through the engine, microseconds (log2 buckets).
-    std::uint64_t shard_latency_count = 0;
-    double shard_latency_sum_us = 0.0;
-    std::uint64_t shard_latency_p50_us = 0;
-    std::uint64_t shard_latency_p90_us = 0;
-    std::uint64_t shard_latency_p99_us = 0;
+    /// Shard latency through the engine.
+    LatencySummary::Snapshot shard_latency;
 };
 
 /** See file comment. Thread-safe. */
@@ -227,8 +223,7 @@ class JobManager
     std::uint64_t shards_failed_ = 0;
     std::uint64_t shards_cached_ = 0;
     std::uint64_t shards_proxied_ = 0;
-    Log2Histogram shard_latency_hist_;
-    RunningStat shard_latency_stat_;
+    LatencySummary shard_latency_;
 
     std::vector<std::thread> executors_;
     std::mutex shutdown_mutex_;

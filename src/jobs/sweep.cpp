@@ -278,6 +278,21 @@ parseSweepSpec(const std::string &body, SweepSpec &out, std::string &error)
         return false;
     }
 
+    // The provider only steers the AsmDB pipeline: with no AsmDB mode
+    // to steer, a non-static provider would silently expand to plain
+    // base shards, so it is refused (as for a single request).
+    const auto is_base = [](SimMode mode) { return mode == SimMode::kBase; };
+    const auto is_static = [](DistanceProviderKind kind) {
+        return kind == DistanceProviderKind::kStatic;
+    };
+    if (std::all_of(out.modes.begin(), out.modes.end(), is_base) &&
+        !std::all_of(out.distance_providers.begin(),
+                     out.distance_providers.end(), is_static)) {
+        error = "field 'distance_provider' steers the AsmDB pipeline; "
+                "a sweep whose only mode is 'base' runs none";
+        return false;
+    }
+
     std::vector<std::string> all_names = out.workloads;
     all_names.insert(all_names.end(), out.mix.begin(), out.mix.end());
     for (const auto &name : all_names) {

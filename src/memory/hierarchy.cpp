@@ -171,25 +171,19 @@ MemoryHierarchy::tick(Cycle now)
 {
     now_ = now;
     if (owns_shared_) {
-        {
-            ProfScope scope(profile_, ProfComponent::kDram);
-            dram_->tick(now);
-        }
-        {
-            ProfScope scope(profile_, ProfComponent::kLlc);
-            llc_->tick(now);
-        }
+        dram_->tick(now);
+        llc_->tick(now);
     }
     {
-        ProfScope scope(profile_, ProfComponent::kL2);
+        trace_obs::BusyScope scope(busy_, trace_obs::BusyComponent::kL2);
         l2_->tick(now);
     }
     {
-        ProfScope scope(profile_, ProfComponent::kL1d);
+        trace_obs::BusyScope scope(busy_, trace_obs::BusyComponent::kL1d);
         l1d_->tick(now);
     }
     {
-        ProfScope scope(profile_, ProfComponent::kL1i);
+        trace_obs::BusyScope scope(busy_, trace_obs::BusyComponent::kL1i);
         l1i_->tick(now);
     }
 

@@ -14,7 +14,7 @@
 #include "memory/dram.hpp"
 #include "memory/dprefetcher.hpp"
 #include "memory/iprefetcher.hpp"
-#include "util/profiler.hpp"
+#include "trace_obs/busy_profile.hpp"
 
 namespace sipre
 {
@@ -157,12 +157,11 @@ class MemoryHierarchy
     Cycle llcAccessLatency() const;
 
     /**
-     * Attach a per-run profile accumulator: tick() attributes each
-     * device's wall-clock to its component slot while the process-wide
-     * CycleProfiler is armed. Null detaches. The accumulator must
-     * outlive the hierarchy.
+     * Attach a per-run busy profile: tick() attributes the private
+     * L1-I/L1-D/L2 ticks to their component slots. Null (the default)
+     * detaches. The profile must outlive the hierarchy.
      */
-    void setProfiler(ProfileAccumulator *acc) { profile_ = acc; }
+    void setBusyProfile(trace_obs::BusyProfile *busy) { busy_ = busy; }
 
   private:
     Addr lineOf(Addr addr) const { return addr & ~Addr{63}; }
@@ -185,7 +184,7 @@ class MemoryHierarchy
     std::vector<Addr> pf_scratch_; ///< per-tick drain buffer (reused)
     std::vector<MemRequest> ifetch_done_;
     std::vector<MemRequest> data_done_;
-    ProfileAccumulator *profile_ = nullptr;
+    trace_obs::BusyProfile *busy_ = nullptr;
     ReqId next_id_ = 1;
     Cycle now_ = 0;
 };

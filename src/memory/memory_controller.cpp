@@ -65,11 +65,11 @@ void
 MemoryController::tick(Cycle now)
 {
     {
-        ProfScope scope(profile_, ProfComponent::kDram);
+        trace_obs::BusyScope scope(busy_, trace_obs::BusyComponent::kDram);
         dram_->tick(now);
     }
     {
-        ProfScope scope(profile_, ProfComponent::kLlc);
+        trace_obs::BusyScope scope(busy_, trace_obs::BusyComponent::kLlc);
         llc_->tick(now);
     }
     depth_ = dram_->pendingRequests();

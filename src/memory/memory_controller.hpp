@@ -100,11 +100,11 @@ class MemoryController
     void resetStats();
 
     /**
-     * Attach a per-run profile accumulator: tick() attributes the DRAM
-     * and LLC ticks to their component slots while the process-wide
-     * CycleProfiler is armed (see MemoryHierarchy::setProfiler).
+     * Attach a per-run busy profile: tick() attributes the DRAM and LLC
+     * ticks to their component slots (see
+     * MemoryHierarchy::setBusyProfile).
      */
-    void setProfiler(ProfileAccumulator *acc) { profile_ = acc; }
+    void setBusyProfile(trace_obs::BusyProfile *busy) { busy_ = busy; }
 
   private:
     /**
@@ -148,7 +148,7 @@ class MemoryController
     /// DRAM queue depth after the last tick; cached because skipped
     /// cycles sample it and reading it from the DRAM costs more.
     std::uint64_t depth_ = 0;
-    ProfileAccumulator *profile_ = nullptr;
+    trace_obs::BusyProfile *busy_ = nullptr;
 };
 
 } // namespace sipre

@@ -130,14 +130,20 @@ runSimRequest(const SimRequest &request, const RunInputs &inputs,
     }
     if (inputs.scenario_window != 0)
         sim.enableScenarioTimeline(inputs.scenario_window);
+    if (inputs.busy_profile)
+        sim.enableBusyProfile();
     SimResult result = sim.run();
+    if (record != nullptr && inputs.busy_profile) {
+        for (std::size_t i = 0; i < cores.size(); ++i)
+            record->core_busy.push_back(sim.busyProfile(i));
+        record->shared_busy = sim.sharedBusyProfile();
+    }
     if (record != nullptr && cores.size() == 1) {
         const CoreRun &core = cores.front();
         record->static_bloat = core.artifacts.rewrite.staticBloat();
         record->dynamic_bloat = core.artifacts.rewrite.dynamicBloat();
         if (const MetadataPreloadStats *stats = sim.metadataStats())
             record->metadata = *stats;
-        record->busy = sim.profile();
     }
     return result;
 }
@@ -204,13 +210,6 @@ SimulationEngine::~SimulationEngine()
     shutdown(/*drain=*/true);
 }
 
-void
-SimulationEngine::recordLatencyLocked(double us)
-{
-    latency_stat_.add(us);
-    latency_hist_.add(static_cast<std::uint64_t>(us));
-}
-
 SubmitOutcome
 SimulationEngine::waitForJob(const std::shared_ptr<Job> &job, bool coalesced,
                              std::chrono::steady_clock::time_point start)
@@ -241,7 +240,7 @@ SimulationEngine::waitForJob(const std::shared_ptr<Job> &job, bool coalesced,
     outcome.result = job->result;
     outcome.proxied = job->proxied;
     std::lock_guard<std::mutex> lock(mutex_);
-    recordLatencyLocked(us);
+    latency_.add(us);
     return outcome;
 }
 
@@ -279,7 +278,7 @@ SimulationEngine::submit(const SimRequest &request, bool allow_proxy)
                 std::chrono::duration<double, std::micro>(
                     std::chrono::steady_clock::now() - start)
                     .count();
-            recordLatencyLocked(outcome.latency_us);
+            latency_.add(outcome.latency_us);
             return outcome;
         }
 
@@ -301,7 +300,7 @@ SimulationEngine::submit(const SimRequest &request, bool allow_proxy)
                 std::chrono::duration<double, std::micro>(
                     std::chrono::steady_clock::now() - start)
                     .count();
-            recordLatencyLocked(outcome.latency_us);
+            latency_.add(outcome.latency_us);
             return outcome;
         } else if (backend_ != nullptr && allow_proxy &&
                    !backend_->localExecution(key)) {
@@ -562,14 +561,7 @@ SimulationEngine::stats() const
         s.mc_dram_depth_p90 = mc_dram_depth_.percentileUpperBound(0.90);
         s.mc_dram_depth_p99 = mc_dram_depth_.percentileUpperBound(0.99);
     }
-    s.latency_count = latency_stat_.count();
-    s.latency_sum_us = latency_stat_.sum();
-    s.latency_max_us = latency_stat_.max();
-    if (latency_hist_.total() > 0) {
-        s.latency_p50_us = latency_hist_.percentileUpperBound(0.50);
-        s.latency_p90_us = latency_hist_.percentileUpperBound(0.90);
-        s.latency_p99_us = latency_hist_.percentileUpperBound(0.99);
-    }
+    s.latency = latency_.snapshot();
     return s;
 }
 

@@ -29,7 +29,7 @@
 #include "service/request.hpp"
 #include "service/result_cache.hpp"
 #include "trace/trace.hpp"
-#include "util/profiler.hpp"
+#include "trace_obs/busy_profile.hpp"
 #include "util/statistics.hpp"
 
 namespace sipre::service
@@ -81,14 +81,17 @@ struct RunInputs
     const SimResult *profile = nullptr;
     /** Nonzero: record the FTQ scenario timeline in windows this wide. */
     std::uint32_t scenario_window = 0;
+    /** Arm the run's busy-time profile (RunRecord::core_busy). */
+    bool busy_profile = false;
 };
 
 /**
  * What one runSimRequest() did besides producing its SimResult. The
  * AsmDB counters are summed across cores and filled only when the mode
  * ran a pipeline, so `base` runs leave them untouched; the engine folds
- * them into /metrics. The rest describes a one-core run only (what
- * sipre_cli prints around the report) and stays empty on a co-run.
+ * them into /metrics. The busy profiles cover any core count; the rest
+ * describes a one-core run only (what sipre_cli prints around the
+ * report) and stays empty on a co-run.
  */
 struct RunRecord
 {
@@ -100,6 +103,11 @@ struct RunRecord
     std::uint64_t eval_runs = 0;     ///< adaptive evaluation sims
     std::uint64_t distance_sum = 0;  ///< sum of global min distances
 
+    /// Per-component busy time of each core's ticks and of the shared
+    /// LLC/DRAM; filled only when RunInputs::busy_profile armed the run.
+    std::vector<trace_obs::BusyProfile> core_busy;
+    trace_obs::BusyProfile shared_busy;
+
     // One-core runs only.
     double static_bloat = 0.0;  ///< inserted / original static instrs
     double dynamic_bloat = 0.0; ///< inserted / original dynamic instrs
@@ -108,8 +116,6 @@ struct RunRecord
     std::uint64_t dropped_insertions = 0;
     /// Metadata mode: the preloader's counters.
     std::optional<MetadataPreloadStats> metadata;
-    /// Per-component busy time; all zero unless CycleProfiler is on.
-    ProfileAccumulator busy;
 };
 
 /** Per-provider accumulation of RunRecord counters (for /metrics). */
@@ -194,16 +200,8 @@ struct EngineStats
     std::uint64_t asmdb_runs = 0;
     std::vector<ProviderCounters> providers;
 
-    // Latency of completed (kOk) requests, microseconds. The
-    // percentiles are log2-bucket upper bounds (next power of two), so
-    // they stay meaningful from microsecond cache hits up to
-    // multi-second uncached simulations.
-    std::uint64_t latency_count = 0;
-    double latency_sum_us = 0.0;
-    double latency_max_us = 0.0;
-    std::uint64_t latency_p50_us = 0; ///< bucket upper bounds
-    std::uint64_t latency_p90_us = 0;
-    std::uint64_t latency_p99_us = 0;
+    /// Latency of completed (kOk) requests.
+    LatencySummary::Snapshot latency;
 
     double
     cacheHitRate() const
@@ -306,7 +304,6 @@ class SimulationEngine
     SubmitOutcome waitForJob(const std::shared_ptr<Job> &job,
                              bool coalesced,
                              std::chrono::steady_clock::time_point start);
-    void recordLatencyLocked(double us);
 
     EngineOptions options_;
     ResultBackend *backend_ = nullptr;
@@ -330,8 +327,7 @@ class SimulationEngine
     std::uint64_t rejected_ = 0;
     std::uint64_t failures_ = 0;
     std::size_t workers_busy_ = 0;
-    Log2Histogram latency_hist_; ///< log buckets: us hits to multi-s sims
-    RunningStat latency_stat_;
+    LatencySummary latency_; ///< completed (kOk) requests
 
     // Multi-core contention accumulators (guarded by mutex_), fed by
     // every fresh multi-core run's shared-memory section.

@@ -13,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "core/json_io.hpp"
 #include "util/fault.hpp"
 
 namespace sipre::service::http
@@ -153,6 +154,20 @@ const std::string *
 Response::header(std::string_view name) const
 {
     return findHeader(headers, name);
+}
+
+std::string
+prometheusSummary(std::string_view name,
+                  const LatencySummary::Snapshot &summary)
+{
+    const std::string n(name);
+    return "# TYPE " + n + " summary\n" + n + "_count " +
+           std::to_string(summary.count) + "\n" + n + "_sum " +
+           jsonDouble(summary.sum_us) + "\n" + n + "{quantile=\"0.5\"} " +
+           std::to_string(summary.p50_us) + "\n" + n +
+           "{quantile=\"0.9\"} " + std::to_string(summary.p90_us) + "\n" +
+           n + "{quantile=\"0.99\"} " + std::to_string(summary.p99_us) +
+           "\n";
 }
 
 const char *

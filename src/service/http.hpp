@@ -14,6 +14,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/statistics.hpp"
+
 namespace sipre::service::http
 {
 
@@ -53,6 +55,13 @@ inline constexpr std::size_t kMaxBodyBytes = 1024 * 1024;
 
 /** Canonical reason phrase for the handful of statuses we emit. */
 const char *reasonPhrase(int status);
+
+/**
+ * One latency summary in the /metrics text format: the TYPE line, then
+ * `<name>_count`, `<name>_sum` and the 0.5/0.9/0.99 quantiles.
+ */
+std::string prometheusSummary(std::string_view name,
+                              const LatencySummary::Snapshot &summary);
 
 /** ASCII case-insensitive string equality (header names and tokens). */
 bool iequals(std::string_view a, std::string_view b);

@@ -469,17 +469,8 @@ ServiceServer::handleMetrics() const
          << "# TYPE sipre_cache_hit_rate gauge\n"
          << "sipre_cache_hit_rate " << jsonDouble(stats.cacheHitRate())
          << "\n"
-         << "# TYPE sipre_request_latency_us summary\n"
-         << "sipre_request_latency_us_count " << stats.latency_count
-         << "\n"
-         << "sipre_request_latency_us_sum "
-         << jsonDouble(stats.latency_sum_us) << "\n"
-         << "sipre_request_latency_us{quantile=\"0.5\"} "
-         << stats.latency_p50_us << "\n"
-         << "sipre_request_latency_us{quantile=\"0.9\"} "
-         << stats.latency_p90_us << "\n"
-         << "sipre_request_latency_us{quantile=\"0.99\"} "
-         << stats.latency_p99_us << "\n";
+         << http::prometheusSummary("sipre_request_latency_us",
+                                    stats.latency);
     // Multi-core contention: per-core shared-LLC demand attribution and
     // the DRAM queue occupancy distribution, accumulated over every
     // fresh multi-core run. Emitted only once such a run has happened

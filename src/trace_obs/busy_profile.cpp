@@ -1,53 +1,37 @@
-#include "util/profiler.hpp"
+#include "trace_obs/busy_profile.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 
-namespace sipre
+namespace sipre::trace_obs
 {
 
 const char *
-profComponentName(ProfComponent c)
+busyComponentName(BusyComponent c)
 {
     switch (c) {
-      case ProfComponent::kFrontend:
+      case BusyComponent::kFrontend:
         return "frontend";
-      case ProfComponent::kBackend:
+      case BusyComponent::kBackend:
         return "backend";
-      case ProfComponent::kL1i:
+      case BusyComponent::kL1i:
         return "l1i";
-      case ProfComponent::kL1d:
+      case BusyComponent::kL1d:
         return "l1d";
-      case ProfComponent::kL2:
+      case BusyComponent::kL2:
         return "l2";
-      case ProfComponent::kLlc:
+      case BusyComponent::kLlc:
         return "llc";
-      case ProfComponent::kDram:
+      case BusyComponent::kDram:
         return "dram";
-      case ProfComponent::kPreloader:
+      case BusyComponent::kPreloader:
         return "preloader";
       default:
         return "unknown";
     }
 }
 
-CycleProfiler::CycleProfiler()
-{
-    if (const char *env = std::getenv("SIPRE_PROFILE")) {
-        if (env[0] != '\0' && !(env[0] == '0' && env[1] == '\0'))
-            enabled_.store(true, std::memory_order_relaxed);
-    }
-}
-
-CycleProfiler &
-CycleProfiler::global()
-{
-    static CycleProfiler instance;
-    return instance;
-}
-
 std::string
-ProfileAccumulator::table(std::uint64_t cycles) const
+BusyProfile::table(std::uint64_t cycles) const
 {
     const std::uint64_t total = totalNs();
     std::string out;
@@ -74,7 +58,7 @@ ProfileAccumulator::table(std::uint64_t cycles) const
                 : 0.0;
         std::snprintf(line, sizeof(line),
                       "%-10s %12.2f %12llu %9.1f %6.1f%%",
-                      profComponentName(static_cast<ProfComponent>(i)), ms,
+                      busyComponentName(static_cast<BusyComponent>(i)), ms,
                       static_cast<unsigned long long>(s.ticks), per_tick,
                       share);
         out += line;
@@ -89,23 +73,4 @@ ProfileAccumulator::table(std::uint64_t cycles) const
     return out;
 }
 
-std::string
-ProfileAccumulator::json() const
-{
-    std::string out = "{";
-    bool first = true;
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-        const Slot &s = slots[i];
-        if (!first)
-            out += ",";
-        first = false;
-        out += '"';
-        out += profComponentName(static_cast<ProfComponent>(i));
-        out += "_ns\":";
-        out += std::to_string(s.ns);
-    }
-    out += "}";
-    return out;
-}
-
-} // namespace sipre
+} // namespace sipre::trace_obs

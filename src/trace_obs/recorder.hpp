@@ -7,7 +7,7 @@
  * Design contract (mirrors util/fault):
  *  - Disabled is the default and costs one relaxed atomic load per
  *    Span construction — no clock read, no allocation, no branch into
- *    cold code. bench/bench_trace_overhead puts a number on it.
+ *    cold code. bench/bench_hook_overhead puts a number on it.
  *  - Each thread appends to its own fixed-capacity buffer with a
  *    release-published count, so writers never take a lock and an
  *    exporter on another thread only ever reads fully-written,

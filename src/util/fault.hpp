@@ -28,7 +28,7 @@
  *
  * With no spec configured the framework is a single relaxed atomic
  * load per hook — near-zero overhead, no locks, no allocation (see
- * bench/bench_fault_overhead).
+ * bench/bench_hook_overhead).
  */
 #ifndef SIPRE_UTIL_FAULT_HPP
 #define SIPRE_UTIL_FAULT_HPP

@@ -258,6 +258,48 @@ class Log2Histogram
     std::uint64_t total_ = 0;
 };
 
+/**
+ * One latency distribution in microseconds, as /metrics exports it: an
+ * exact count/sum/mean plus log2-bucket percentile upper bounds (the
+ * next power of two), which stay meaningful from microsecond cache
+ * hits up to multi-second simulations.
+ */
+class LatencySummary
+{
+  public:
+    /** The exported view (service::http::prometheusSummary writes it). */
+    struct Snapshot
+    {
+        std::uint64_t count = 0;
+        double sum_us = 0.0;
+        std::uint64_t p50_us = 0; ///< bucket upper bounds
+        std::uint64_t p90_us = 0;
+        std::uint64_t p99_us = 0;
+    };
+
+    void
+    add(double us)
+    {
+        stat_.add(us);
+        hist_.add(static_cast<std::uint64_t>(us));
+    }
+
+    std::uint64_t count() const { return stat_.count(); }
+    double mean() const { return stat_.mean(); }
+
+    Snapshot
+    snapshot() const
+    {
+        return {stat_.count(), stat_.sum(), hist_.percentileUpperBound(0.50),
+                hist_.percentileUpperBound(0.90),
+                hist_.percentileUpperBound(0.99)};
+    }
+
+  private:
+    RunningStat stat_;
+    Log2Histogram hist_;
+};
+
 /** Geometric mean of a set of (positive) ratios. Returns 0 when empty. */
 inline double
 geomean(std::span<const double> values)

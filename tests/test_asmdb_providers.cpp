@@ -424,7 +424,7 @@ TEST(DistanceProviderSweep, SpecJsonRoundTrips)
     jobs::SweepSpec spec;
     std::string error;
     ASSERT_TRUE(jobs::parseSweepSpec(
-        R"({"workloads":["secret_srv12"],)"
+        R"({"workloads":["secret_srv12"],"mode":["base","asmdb"],)"
         R"("distance_provider":["profile","adaptive"]})",
         spec, error))
         << error;
@@ -441,18 +441,43 @@ TEST(DistanceProviderSweep, SpecJsonRoundTrips)
     EXPECT_FALSE(jobs::parseSweepSpec(
         R"({"workloads":["secret_srv12"],"distance_provider":["warp"]})",
         bad, error));
+
+    // Base shards take no provider axis, so a base-only sweep naming a
+    // non-static provider would drop it silently: refused instead.
+    EXPECT_FALSE(jobs::parseSweepSpec(
+        R"({"workloads":["secret_srv12"],)"
+        R"("distance_provider":["profile","adaptive"]})",
+        bad, error));
+    EXPECT_NE(error.find("distance_provider"), std::string::npos);
+    EXPECT_FALSE(jobs::parseSweepSpec(
+        R"({"workloads":["secret_srv12"],"mode":["base"],)"
+        R"("distance_provider":["static","profile"]})",
+        bad, error));
+    EXPECT_TRUE(jobs::parseSweepSpec(
+        R"({"workloads":["secret_srv12"],"mode":["base"],)"
+        R"("distance_provider":["static"]})",
+        bad, error))
+        << error;
 }
 
 // ------------------------------------------------------- CLI diagnostics
 
 #ifdef SIPRE_CLI_BINARY
 int
-runCli(const std::string &args)
+runCli(const std::string &args, const std::string &stderr_path = "&1")
 {
-    const std::string cmd =
-        std::string(SIPRE_CLI_BINARY) + " " + args + " >/dev/null 2>&1";
+    const std::string cmd = std::string(SIPRE_CLI_BINARY) + " " + args +
+                            " >/dev/null 2>" + stderr_path;
     const int status = std::system(cmd.c_str());
     return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
 }
 
 TEST(CliDiagnostics, UnknownProviderExitsTwo)
@@ -509,22 +534,55 @@ TEST(CliDiagnostics, MulticoreTraceOutWritesFile)
     std::remove(path.c_str());
     ASSERT_EQ(runCli("--instructions 20000 --cores 2 --trace-out " + path),
               0);
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    const std::string doc((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
+    const std::string doc = readFile(path);
+    ASSERT_FALSE(doc.empty());
     EXPECT_NE(doc.find("ftq scenarios: core 0 "), std::string::npos);
     EXPECT_NE(doc.find("ftq scenarios: core 1 "), std::string::npos);
 }
 
-// --profile attributes one core's busy cycles: a co-run refuses it up
-// front instead of running and then ignoring it.
-TEST(CliDiagnostics, MulticoreProfileExitsTwo)
+// --profile prints one busy table per core plus the shared LLC/DRAM; a
+// one-core run keeps its single table of every component.
+TEST(CliDiagnostics, ProfilePrintsATablePerCore)
 {
-    EXPECT_EQ(runCli("--instructions 20000 --cores 2 --profile"), 2);
-    EXPECT_EQ(runCli("--instructions 20000 --mix secret_srv12,secret_srv12 "
-                     "--profile"),
-              2);
+    const std::string err = ::testing::TempDir() + "/sipre_profile.err";
+    ASSERT_EQ(runCli("--instructions 20000 --profile", err), 0);
+    std::string tables = readFile(err);
+    EXPECT_NE(tables.find("busy-cycle profile (secret_srv12, "),
+              std::string::npos)
+        << tables;
+    for (const char *component :
+         {"frontend", "backend", "l1i", "l1d", "l2", "llc", "dram"})
+        EXPECT_NE(tables.find(std::string("\n") + component + " "),
+                  std::string::npos)
+            << component;
+
+    ASSERT_EQ(runCli("--instructions 20000 --cores 2 --profile", err), 0);
+    tables = readFile(err);
+    EXPECT_NE(tables.find("busy-cycle profile (core 0 secret_srv12, "),
+              std::string::npos)
+        << tables;
+    EXPECT_NE(tables.find("busy-cycle profile (core 1 secret_srv12, "),
+              std::string::npos);
+    EXPECT_NE(tables.find("busy-cycle profile (shared LLC/DRAM, "),
+              std::string::npos);
+}
+
+// With --trace-out, each core's busy profile is a counter track too.
+TEST(CliDiagnostics, ProfiledTraceOutHasABusyTrackPerCore)
+{
+    const std::string path = ::testing::TempDir() + "/sipre_busy.json";
+    std::remove(path.c_str());
+    ASSERT_EQ(runCli("--instructions 20000 --cores 2 --profile "
+                     "--trace-out " +
+                     path),
+              0);
+    const std::string doc = readFile(path);
+    ASSERT_FALSE(doc.empty());
+    EXPECT_NE(doc.find("\"busy ns: core 0 secret_srv12\""),
+              std::string::npos);
+    EXPECT_NE(doc.find("\"busy ns: core 1 secret_srv12\""),
+              std::string::npos);
+    EXPECT_NE(doc.find("\"busy ns: shared LLC/DRAM\""), std::string::npos);
 }
 #endif // SIPRE_CLI_BINARY
 

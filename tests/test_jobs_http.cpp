@@ -301,6 +301,15 @@ TEST(JobsHttp, RoutingErrorsAreSpecific)
     EXPECT_EQ(conflicted.status, 400);
     EXPECT_NE(conflicted.body.find("implied"), std::string::npos);
 
+    // A provider axis with no AsmDB mode to steer is refused, not
+    // expanded into plain base shards.
+    const http::Response providerless = call(
+        port, postJobs(R"({"workloads":["secret_srv12"],)"
+                       R"("distance_provider":["profile","adaptive"]})"));
+    EXPECT_EQ(providerless.status, 400);
+    EXPECT_NE(providerless.body.find("distance_provider"),
+              std::string::npos);
+
     // A pending job's result is 409 with progress attached.
     const http::Response accepted = call(
         port, postJobs(R"({"workloads":["secret_crypto52"],)"

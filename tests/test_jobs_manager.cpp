@@ -671,8 +671,8 @@ TEST(JobsManager, ProgressAndStatsTrackCompletion)
     EXPECT_EQ(stats.shards_cached, 2u);
     EXPECT_EQ(stats.jobs_active, 0u);
     EXPECT_EQ(stats.jobs_total, 2u);
-    EXPECT_EQ(stats.shard_latency_count, 4u);
-    EXPECT_GT(stats.shard_latency_p99_us, 0u);
+    EXPECT_EQ(stats.shard_latency.count, 4u);
+    EXPECT_GT(stats.shard_latency.p99_us, 0u);
 
     const auto listed = manager.list();
     ASSERT_EQ(listed.size(), 2u);

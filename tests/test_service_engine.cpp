@@ -342,8 +342,8 @@ TEST(ServiceEngine, LatencyMetricsAccumulate)
     ASSERT_EQ(engine.submit(smallRequest("secret_crypto52", 4)).status,
               SubmitStatus::kOk);
     const EngineStats stats = engine.stats();
-    EXPECT_EQ(stats.latency_count, 2u);
-    EXPECT_GT(stats.latency_sum_us, 0.0);
-    EXPECT_GE(stats.latency_p99_us, stats.latency_p50_us);
+    EXPECT_EQ(stats.latency.count, 2u);
+    EXPECT_GT(stats.latency.sum_us, 0.0);
+    EXPECT_GE(stats.latency.p99_us, stats.latency.p50_us);
     EXPECT_GT(stats.cacheHitRate(), 0.0);
 }

@@ -154,6 +154,51 @@ TEST(ServiceHttp, RequestSerializeParseRoundTrip)
     EXPECT_EQ(*parsed.header("Content-Length"), "7");
 }
 
+// The three /metrics latency summaries (engine requests, job shards,
+// cluster proxy hops) share one writer. perfbench scrapes them, so
+// their text is pinned byte for byte.
+TEST(ServiceHttp, LatencySummaryTextIsPinned)
+{
+    LatencySummary summary;
+    EXPECT_EQ(http::prometheusSummary("sipre_request_latency_us",
+                                      summary.snapshot()),
+              "# TYPE sipre_request_latency_us summary\n"
+              "sipre_request_latency_us_count 0\n"
+              "sipre_request_latency_us_sum 0\n"
+              "sipre_request_latency_us{quantile=\"0.5\"} 0\n"
+              "sipre_request_latency_us{quantile=\"0.9\"} 0\n"
+              "sipre_request_latency_us{quantile=\"0.99\"} 0\n");
+
+    for (const double us : {3.0, 150.5, 2000.25, 70000.0})
+        summary.add(us);
+    EXPECT_EQ(summary.mean(), 72153.75 / 4);
+    EXPECT_EQ(http::prometheusSummary("sipre_request_latency_us",
+                                      summary.snapshot()),
+              "# TYPE sipre_request_latency_us summary\n"
+              "sipre_request_latency_us_count 4\n"
+              "sipre_request_latency_us_sum 72153.75\n"
+              "sipre_request_latency_us{quantile=\"0.5\"} 255\n"
+              "sipre_request_latency_us{quantile=\"0.9\"} 131071\n"
+              "sipre_request_latency_us{quantile=\"0.99\"} 131071\n");
+    EXPECT_EQ(http::prometheusSummary("sipre_job_shard_latency_us",
+                                      summary.snapshot()),
+              "# TYPE sipre_job_shard_latency_us summary\n"
+              "sipre_job_shard_latency_us_count 4\n"
+              "sipre_job_shard_latency_us_sum 72153.75\n"
+              "sipre_job_shard_latency_us{quantile=\"0.5\"} 255\n"
+              "sipre_job_shard_latency_us{quantile=\"0.9\"} 131071\n"
+              "sipre_job_shard_latency_us{quantile=\"0.99\"} 131071\n");
+    EXPECT_EQ(http::prometheusSummary("sipre_cluster_proxy_latency_us",
+                                      summary.snapshot()),
+              "# TYPE sipre_cluster_proxy_latency_us summary\n"
+              "sipre_cluster_proxy_latency_us_count 4\n"
+              "sipre_cluster_proxy_latency_us_sum 72153.75\n"
+              "sipre_cluster_proxy_latency_us{quantile=\"0.5\"} 255\n"
+              "sipre_cluster_proxy_latency_us{quantile=\"0.9\"} 131071\n"
+              "sipre_cluster_proxy_latency_us{quantile=\"0.99\"} "
+              "131071\n");
+}
+
 TEST(ServiceHttp, ParserIsIncremental)
 {
     const std::string wire = http::serializeRequest(postSimulate("{}"));

@@ -6,7 +6,8 @@
  * that an armed recorder leaves SimResult byte-identical, scenario
  * timeline consistency across both simulator loops, the campaign-text
  * round-trip of the timeline section, the `GET /jobs/<id>/trace`
- * endpoint, and a loose ceiling on the disabled-path cost.
+ * endpoint, a loose ceiling on the disabled-path cost, and the
+ * per-core busy profile.
  */
 #include <algorithm>
 #include <chrono>
@@ -33,6 +34,7 @@
 #include "service/http.hpp"
 #include "service/server.hpp"
 #include "trace/synth/workload.hpp"
+#include "trace_obs/busy_profile.hpp"
 #include "trace_obs/chrome_trace.hpp"
 #include "trace_obs/recorder.hpp"
 
@@ -680,4 +682,59 @@ TEST(TraceObs, DisabledSpanStaysCheap)
     // magnitude above target so CI noise can't flake it, while still
     // catching a clock read or allocation sneaking into the fast path.
     EXPECT_LT(ns_per_span, 1'000.0);
+}
+
+// The busy profile is armed per run and kept per core: arming it must
+// not change a byte of the result, and it must attribute time to every
+// core's front-end and back-end, with the shared LLC/DRAM apart.
+TEST(TraceObs, BusyProfileIsPerCoreAndLeavesResultsByteIdentical)
+{
+    for (const std::uint32_t cores : {1u, 2u}) {
+        SimRequest request;
+        request.workload = "secret_srv12";
+        request.instructions = 30'000;
+        request.cores = cores;
+        RunInputs armed_inputs;
+        armed_inputs.busy_profile = true;
+        RunRecord armed, plain;
+        const SimResult profiled =
+            runSimRequest(request, armed_inputs, &armed);
+        const SimResult unprofiled = runSimRequest(request, {}, &plain);
+
+        std::ostringstream a, b;
+        writeSimResultText(a, profiled);
+        writeSimResultText(b, unprofiled);
+        EXPECT_EQ(a.str(), b.str()) << "cores=" << cores;
+
+        EXPECT_TRUE(plain.core_busy.empty());
+        ASSERT_EQ(armed.core_busy.size(), cores);
+        for (const BusyProfile &core : armed.core_busy) {
+            for (const BusyComponent c :
+                 {BusyComponent::kFrontend, BusyComponent::kBackend}) {
+                EXPECT_GT(core[c].ticks, 0u) << busyComponentName(c);
+                EXPECT_GT(core[c].ns, 0u) << busyComponentName(c);
+            }
+            EXPECT_EQ(core[BusyComponent::kLlc].ticks, 0u);
+        }
+        EXPECT_GT(armed.shared_busy[BusyComponent::kLlc].ticks, 0u);
+        EXPECT_GT(armed.shared_busy[BusyComponent::kDram].ticks, 0u);
+        EXPECT_EQ(armed.shared_busy[BusyComponent::kFrontend].ticks, 0u);
+    }
+}
+
+TEST(TraceObs, UnarmedBusyProfileStaysZero)
+{
+    Trace second = workloadTrace("secret_srv12", 20'000);
+    second.rebase(kCoreAddressStride);
+    const Trace first = workloadTrace("secret_srv12", 20'000);
+    Simulator sim(SimConfig::industry(), {&first, &second});
+    sim.run();
+    for (const BusyProfile *profile :
+         {&sim.busyProfile(0), &sim.busyProfile(1),
+          &sim.sharedBusyProfile()}) {
+        for (const BusyProfile::Slot &slot : profile->slots) {
+            EXPECT_EQ(slot.ns, 0u);
+            EXPECT_EQ(slot.ticks, 0u);
+        }
+    }
 }

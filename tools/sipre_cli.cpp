@@ -22,6 +22,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -35,7 +36,6 @@
 #include "trace/synth/workload.hpp"
 #include "trace_obs/chrome_trace.hpp"
 #include "trace_obs/recorder.hpp"
-#include "util/profiler.hpp"
 
 using namespace sipre;
 
@@ -90,8 +90,10 @@ usage(const char *argv0)
         "  --profile                  attribute the run's wall-clock to\n"
         "                             per-component ticks (front-end,\n"
         "                             back-end, each cache level, DRAM)\n"
-        "                             and print the table to stderr\n"
-        "                             (single-core runs only)\n",
+        "                             and print one table per core (and\n"
+        "                             the shared LLC/DRAM) to stderr;\n"
+        "                             with --trace-out, also as counter\n"
+        "                             tracks\n",
         argv0, kSimModeChoices, kPredictorChoices, kHwPrefetcherChoices,
         kDistanceProviderChoices);
     std::exit(1);
@@ -144,13 +146,48 @@ writeResultFile(const std::string &path, const SimResult &result)
     return true;
 }
 
+/** One busy-profile table of a --profile run. */
+struct BusyView
+{
+    std::string label;
+    std::uint64_t cycles = 0;
+    trace_obs::BusyProfile profile;
+};
+
+/**
+ * The run's busy profiles as printed and traced. A one-core run folds
+ * the shared LLC/DRAM into its one table; a co-run keeps one per core
+ * plus one for the shared memory system. Empty unless profiled.
+ */
+std::vector<BusyView>
+busyViews(const service::RunRecord &record, const SimResult &result)
+{
+    std::vector<BusyView> views;
+    if (record.core_busy.size() == 1) {
+        views.push_back({result.workload, result.cycles,
+                         record.core_busy.front()});
+        views.back().profile += record.shared_busy;
+        return views;
+    }
+    for (std::size_t i = 0; i < record.core_busy.size(); ++i) {
+        const SimResult &core = result.core_results[i];
+        views.push_back({"core " + std::to_string(i) + " " + core.workload,
+                         core.cycles, record.core_busy[i]});
+    }
+    if (!views.empty())
+        views.push_back({"shared LLC/DRAM", result.cycles,
+                         record.shared_busy});
+    return views;
+}
+
 /**
  * Write the run's Chrome trace-event JSON: the recorded spans plus one
  * FTQ scenario counter track per recorded timeline (one per core on a
- * co-run).
+ * co-run) and one track per busy profile.
  */
 bool
-writeTraceFile(const std::string &path, const SimResult &result)
+writeTraceFile(const std::string &path, const SimResult &result,
+               const std::vector<BusyView> &busy)
 {
     std::vector<trace_obs::CounterSeries> series;
     if (result.scenario_timeline.enabled())
@@ -165,6 +202,21 @@ writeTraceFile(const std::string &path, const SimResult &result)
                 "ftq scenarios: core " + std::to_string(i) + " " +
                     core.workload + "/" + core.config_label));
     }
+    // The busy profiles are run totals: they sit under the measured
+    // run's sim.run span, the last to end (AsmDB's sims run first).
+    std::uint64_t run_start = 0, run_end = 0;
+    trace_obs::Recorder::global().forEachEvent(
+        [&](const trace_obs::TraceEvent &event, std::uint32_t) {
+            if (std::string_view(event.name) == "sim.run" &&
+                event.ts_ns + event.dur_ns >= run_end) {
+                run_start = event.ts_ns;
+                run_end = event.ts_ns + event.dur_ns;
+            }
+        });
+    for (const BusyView &view : busy)
+        series.push_back(busyCounterSeries(view.profile,
+                                           "busy ns: " + view.label,
+                                           run_start, run_end));
     const std::string doc = trace_obs::buildChromeTrace(
         trace_obs::Recorder::global(), /*job_filter=*/0, series,
         "sipre_cli");
@@ -317,13 +369,6 @@ main(int argc, char **argv)
                      "synthesized workloads (no trace files)\n");
         return 2;
     }
-    if (multicore && profile) {
-        std::fprintf(stderr,
-                     "sipre_cli: error: --profile attributes a single "
-                     "core's busy cycles; it cannot profile a "
-                     "--cores/--mix run\n");
-        return 2;
-    }
 
     // A prior run's serialized result (the campaign-text form written
     // by --result-out) feeds the 'profile' provider's distance model,
@@ -364,8 +409,7 @@ main(int argc, char **argv)
     inputs.scenario_window = scenario_window;
     if (!trace_out.empty())
         trace_obs::Recorder::global().enable();
-    if (profile)
-        CycleProfiler::global().enable();
+    inputs.busy_profile = profile;
 
     // A trace from a file (or one synthesized only to be saved).
     Trace trace;
@@ -445,18 +489,19 @@ main(int argc, char **argv)
                     record.metadata->prefetches_issued));
         }
     }
-    // The table goes to stderr so --json keeps stdout machine-readable.
-    if (profile) {
+    // The tables go to stderr so --json keeps stdout machine-readable.
+    const std::vector<BusyView> busy = busyViews(record, result);
+    for (const BusyView &view : busy) {
         std::fprintf(stderr,
                      "[sipre_cli] busy-cycle profile (%s, %llu cycles):\n%s",
-                     result.workload.c_str(),
-                     static_cast<unsigned long long>(result.cycles),
-                     record.busy.table(result.cycles).c_str());
+                     view.label.c_str(),
+                     static_cast<unsigned long long>(view.cycles),
+                     view.profile.table(view.cycles).c_str());
     }
 
     if (!result_out.empty() && !writeResultFile(result_out, result))
         return 1;
-    if (!trace_out.empty() && !writeTraceFile(trace_out, result))
+    if (!trace_out.empty() && !writeTraceFile(trace_out, result, busy))
         return 1;
     return 0;
 }
